@@ -86,7 +86,7 @@ runPolicy(TbPolicy policy)
         });
 
     Gpu gpu(cfg);
-    gpu.setDispatchHook(&hook, nullptr);
+    gpu.addDispatchHook(&hook, nullptr);
     gpu.launchHostKernel({parent, 8, 32});
     gpu.runToIdle();
 

@@ -15,6 +15,8 @@
 #                across tick modes and LAPERM_JOBS, DESIGN.md §14)
 #   asan-ubsan   full test suite under AddressSanitizer + UBSan
 #   tsan         concurrent-harness smoke under ThreadSanitizer
+#   perfbench    the repository benchmark (perfbench/) still builds
+#                against src/ and passes its helper self-tests
 #
 # Each stage runs in its own build tree so sanitizer flags never
 # contaminate the primary build. The summary line at the end (also
@@ -108,6 +110,18 @@ stage_tsan() {
             ctest --output-on-failure -R '^harness_parallel_smoke$')
 }
 
+stage_perfbench() {
+    # The benchmark compiles ../src against public headers only; build
+    # both of its targets in their own tree so an API break in src/
+    # fails here rather than when the benchmark next runs.
+    local out=build-perfbench
+    cmake -S perfbench -B "$out/perfbench" \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo &&
+        cmake --build "$out/perfbench" -j"$JOBS" \
+            --target laperm_perfbench perfbench_selftest &&
+        CARGO_TARGET_DIR="$out" python3 perfbench/run.py --selftest
+}
+
 run_stage lint stage_lint
 run_stage docs-check stage_docs
 run_stage build-werror stage_werror
@@ -118,6 +132,7 @@ run_stage cluster-smoke stage_cluster_smoke
 run_stage tenant-smoke stage_tenant_smoke
 run_stage asan-ubsan stage_asan
 run_stage tsan stage_tsan
+run_stage perfbench stage_perfbench
 
 echo "verify.sh: all checks passed"
 summary 0

@@ -6,8 +6,8 @@
 
 namespace laperm {
 
-Gpu::Gpu(const GpuConfig &cfg)
-    : cfg_(cfg), mem_(cfg), kdu_(cfg.kduEntries)
+Gpu::Gpu(const GpuConfig &cfg, TraceCache *traces)
+    : cfg_(cfg), mem_(cfg), kdu_(cfg.kduEntries), traces_(traces)
 {
     cfg_.validate();
     sched_ = TbScheduler::create(cfg_, *this);
@@ -405,8 +405,12 @@ Gpu::dispatchTb(DispatchUnit &unit, SmxId smx, Cycle now)
     const std::uint32_t ix = unit.nextTb++;
 
     ThreadBlock *tb = smxs_[smx]->acquireTb();
-    buildThreadBlockInto(*tb, *unit.program, ix, unit.threadsPerTb,
-                         unit.count, ctxScratch_);
+    bindThreadBlock(
+        *tb, *unit.program, ix,
+        traces_ ? traces_->get(unit.program, ix, unit.threadsPerTb,
+                               unit.count, ctxScratch_)
+                : TbTrace::build(*unit.program, ix, unit.threadsPerTb,
+                                 unit.count, ctxScratch_));
     tb->uid = nextTbUid_++;
     tb->kernel = unit.kernel;
     tb->priority = unit.priority;

@@ -15,6 +15,7 @@
 #include "gpu/kdu.hh"
 #include "gpu/smx.hh"
 #include "kernels/thread_ctx.hh"
+#include "kernels/trace_cache.hh"
 #include "mem/mem_system.hh"
 #include "sim/observer.hh"
 #include "sched/tb_scheduler.hh"
@@ -27,7 +28,7 @@ namespace laperm {
 /**
  * A simulated GPU. Usage:
  *
- *     Gpu gpu(cfg);
+ *     Gpu gpu(cfg);                // or Gpu gpu(cfg, &shared_traces);
  *     gpu.launchHostKernel(wave0);
  *     gpu.runToIdle();
  *     gpu.launchHostKernel(wave1);  // next host wave
@@ -37,7 +38,15 @@ namespace laperm {
 class Gpu : public SmxCallbacks, public DispatchContext
 {
   public:
-    explicit Gpu(const GpuConfig &cfg);
+    /**
+     * @param traces where dispatched TBs borrow their traces from;
+     *        several Gpus running the same workload instance may share
+     *        one cache (it must outlive them). With null, each dispatch
+     *        builds its TB's trace and the TB drops it at completion:
+     *        one run dispatches each TB once, so a cache private to
+     *        one Gpu would only hold memory.
+     */
+    explicit Gpu(const GpuConfig &cfg, TraceCache *traces = nullptr);
     ~Gpu() override;
 
     Gpu(const Gpu &) = delete;
@@ -111,11 +120,6 @@ class Gpu : public SmxCallbacks, public DispatchContext
      */
     using DispatchHook = void (*)(void *ctx, const ThreadBlock &tb);
     void addDispatchHook(DispatchHook hook, void *ctx);
-    /** Historical name; attaches like addDispatchHook (never replaces). */
-    void setDispatchHook(DispatchHook hook, void *ctx)
-    {
-        addDispatchHook(hook, ctx);
-    }
 
     /** Attach-point for structured observers (DESIGN.md §8). */
     obs::ObserverHub &observers() override { return hub_; }
@@ -191,7 +195,9 @@ class Gpu : public SmxCallbacks, public DispatchContext
      */
     bool feOnNextEvent_ = false;
 
-    /** Per-thread trace contexts reused across TB builds. */
+    /** Shared trace cache, or null to build each TB's trace at dispatch. */
+    TraceCache *traces_;
+    /** Per-thread contexts for the trace builds this Gpu performs. */
     std::vector<ThreadCtx> ctxScratch_;
 
     GpuStats stats_;

@@ -242,6 +242,7 @@ Smx::completeTb(ThreadBlock &tb, Cycle now)
     laperm_assert(it != residentTbs_.end(), "completing unknown TB");
     *it = residentTbs_.back();
     residentTbs_.pop_back();
+    tb.trace.reset();
     tbFree_.push_back(&tb);
 }
 

@@ -54,12 +54,13 @@ class Smx
                         std::uint32_t smem) const;
 
     /**
-     * Get a blank block from this SMX's arena (recycled from a completed
-     * TB when possible) for the caller to build into before acceptTb.
+     * Get a block from this SMX's arena (recycled from a completed TB
+     * when possible) for the caller to bind (bindThreadBlock) before
+     * acceptTb.
      */
     ThreadBlock *acquireTb();
 
-    /** Make an arena block built via acquireTb schedulable. */
+    /** Make an arena block bound via acquireTb schedulable. */
     void acceptTb(ThreadBlock *tb, Cycle now);
 
     /**
@@ -105,8 +106,9 @@ class Smx
 
     /**
      * TB storage: every block ever acquired lives in the arena for the
-     * SMX's lifetime; completed blocks return to the free list and are
-     * recycled (with their warp/op buffers) by the next acquireTb.
+     * SMX's lifetime; completed blocks drop their trace, return to the
+     * free list and are recycled (with their warp vector) by the next
+     * acquireTb.
      */
     std::vector<std::unique_ptr<ThreadBlock>> tbArena_;
     std::vector<ThreadBlock *> tbFree_;

@@ -1,17 +1,17 @@
 #include "gpu/thread_block.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
-#include "kernels/thread_ctx.hh"
-#include "kernels/warp_trace.hh"
 
 namespace laperm {
 
 void
-buildThreadBlockInto(ThreadBlock &tb, const KernelProgram &program,
-                     std::uint32_t tb_index, std::uint32_t threads_per_tb,
-                     std::uint32_t num_tbs,
-                     std::vector<ThreadCtx> &thread_scratch)
+bindThreadBlock(ThreadBlock &tb, const KernelProgram &program,
+                std::uint32_t tb_index,
+                std::shared_ptr<const TbTrace> trace)
 {
+    const std::uint32_t threads_per_tb = trace->numThreads();
     laperm_assert(threads_per_tb > 0, "empty TB");
 
     tb.uid = 0;
@@ -29,24 +29,11 @@ buildThreadBlockInto(ThreadBlock &tb, const KernelProgram &program,
     tb.warpsAtBarrier = 0;
     tb.warpsDone = 0;
 
-    for (std::uint32_t t = 0; t < threads_per_tb; ++t) {
-        if (t < thread_scratch.size())
-            thread_scratch[t].reset(tb_index, t, threads_per_tb, num_tbs);
-        else
-            thread_scratch.emplace_back(tb_index, t, threads_per_tb,
-                                        num_tbs);
-        program.emitThread(thread_scratch[t]);
-    }
-
-    const std::uint32_t num_warps =
-        (threads_per_tb + kWarpSize - 1) / kWarpSize;
+    const std::uint32_t num_warps = trace->numWarps();
     tb.warps.resize(num_warps);
     for (std::uint32_t w = 0; w < num_warps; ++w) {
-        std::uint32_t first = w * kWarpSize;
-        std::uint32_t count =
-            std::min(kWarpSize, threads_per_tb - first);
         Warp &warp = tb.warps[w];
-        buildWarpOpsInto(warp.ops, thread_scratch, first, count);
+        warp.ops = trace->warp(w);
         warp.pc = 0;
         warp.readyAt = 0;
         warp.atBarrier = false;
@@ -56,9 +43,22 @@ buildThreadBlockInto(ThreadBlock &tb, const KernelProgram &program,
         warp.age = 0;
         warp.lastIssue = 0;
         warp.slot = 0;
-        warp.numThreads = count;
+        warp.numThreads =
+            std::min(kWarpSize, threads_per_tb - w * kWarpSize);
         warp.tb = &tb;
     }
+    tb.trace = std::move(trace);
+}
+
+void
+buildThreadBlockInto(ThreadBlock &tb, const KernelProgram &program,
+                     std::uint32_t tb_index, std::uint32_t threads_per_tb,
+                     std::uint32_t num_tbs,
+                     std::vector<ThreadCtx> &thread_scratch)
+{
+    bindThreadBlock(tb, program, tb_index,
+                    TbTrace::build(program, tb_index, threads_per_tb,
+                                   num_tbs, thread_scratch));
 }
 
 std::unique_ptr<ThreadBlock>

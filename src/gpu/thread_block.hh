@@ -1,7 +1,7 @@
 /**
  * @file
- * Runtime state of a thread block resident on an SMX, and construction
- * of its warps from a kernel program.
+ * Runtime state of a thread block resident on an SMX, and binding of
+ * its warps to the block's TbTrace.
  */
 
 #ifndef LAPERM_GPU_THREAD_BLOCK_HH
@@ -15,6 +15,7 @@
 #include "gpu/warp.hh"
 #include "kernels/kernel_program.hh"
 #include "kernels/thread_ctx.hh"
+#include "kernels/warp_trace.hh"
 
 namespace laperm {
 
@@ -44,6 +45,8 @@ class ThreadBlock
     std::uint32_t regs = 0; ///< registers reserved on the SMX
     std::uint32_t smem = 0; ///< shared memory reserved on the SMX
 
+    /** The instruction streams the warps view; shared, read-only. */
+    std::shared_ptr<const TbTrace> trace;
     std::vector<Warp> warps;
     std::uint32_t warpsAtBarrier = 0;
     std::uint32_t warpsDone = 0;
@@ -52,28 +55,32 @@ class ThreadBlock
 };
 
 /**
- * Instantiate a TB: emit per-thread traces from @p program and build the
- * warp instruction streams.
- *
- * @param tb_index blockIdx within the launch.
- * @param num_tbs gridDim of the launch.
+ * (Re)initialize @p tb — typically a recycled block from an SMX arena —
+ * as TB @p tb_index of a launch of @p program whose instruction
+ * streams are @p trace. Every ThreadBlock and Warp field is reset, so a
+ * recycled block is indistinguishable from a freshly allocated one.
+ * This is the one way a TB gets its warps; Gpu::dispatchTb passes a
+ * trace borrowed from its TraceCache, or one built for this dispatch.
  */
-std::unique_ptr<ThreadBlock> buildThreadBlock(
-    const KernelProgram &program, std::uint32_t tb_index,
-    std::uint32_t threads_per_tb, std::uint32_t num_tbs);
+void bindThreadBlock(ThreadBlock &tb, const KernelProgram &program,
+                     std::uint32_t tb_index,
+                     std::shared_ptr<const TbTrace> trace);
 
 /**
- * As buildThreadBlock, but (re)builds into @p tb — typically a recycled
- * block from an SMX arena — reusing its warps' op buffers and the
- * caller-provided @p thread_scratch contexts. Every ThreadBlock and
- * Warp field is reinitialized, so a recycled block is indistinguishable
- * from a freshly allocated one.
+ * Bind @p tb to a freshly built, unshared trace of TB @p tb_index
+ * (blockIdx) of a launch of @p num_tbs TBs (gridDim), emitting its
+ * threads into the caller-provided @p thread_scratch contexts.
  */
 void buildThreadBlockInto(ThreadBlock &tb, const KernelProgram &program,
                           std::uint32_t tb_index,
                           std::uint32_t threads_per_tb,
                           std::uint32_t num_tbs,
                           std::vector<ThreadCtx> &thread_scratch);
+
+/** As buildThreadBlockInto, into a newly allocated block. */
+std::unique_ptr<ThreadBlock> buildThreadBlock(
+    const KernelProgram &program, std::uint32_t tb_index,
+    std::uint32_t threads_per_tb, std::uint32_t num_tbs);
 
 } // namespace laperm
 

@@ -8,7 +8,7 @@ namespace laperm {
 
 DispatchTrace::DispatchTrace(Gpu &gpu)
 {
-    gpu.setDispatchHook(&DispatchTrace::hook, this);
+    gpu.addDispatchHook(&DispatchTrace::hook, this);
 }
 
 void

@@ -7,7 +7,7 @@
 #define LAPERM_GPU_WARP_HH
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "common/types.hh"
 #include "kernels/warp_trace.hh"
@@ -28,7 +28,8 @@ enum class WarpLoc : std::uint8_t
 class Warp
 {
   public:
-    std::vector<WarpOp> ops;
+    /** Read-only view of this warp's stream in its TB's TbTrace. */
+    std::span<const WarpOp> ops;
     std::size_t pc = 0;
 
     /** Earliest cycle the next op may issue. */

@@ -1,6 +1,7 @@
 #include "harness/experiment.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -66,9 +67,9 @@ traceDir()
 
 ResultRecord
 runOneRecord(const Workload &workload, const GpuConfig &cfg,
-             const std::string &trace_dir)
+             const std::string &trace_dir, TraceCache *traces)
 {
-    Gpu gpu(cfg);
+    Gpu gpu(cfg, traces);
     std::unique_ptr<obs::TraceCollector> collector;
     std::unique_ptr<obs::LocalityTracker> locality;
     if (!trace_dir.empty()) {
@@ -97,9 +98,9 @@ runOneRecord(const Workload &workload, const GpuConfig &cfg,
 }
 
 RunResult
-runOne(const Workload &workload, const GpuConfig &cfg)
+runOne(const Workload &workload, const GpuConfig &cfg, TraceCache *traces)
 {
-    return runOneRecord(workload, cfg, traceDir()).toRunResult();
+    return runOneRecord(workload, cfg, traceDir(), traces).toRunResult();
 }
 
 namespace {
@@ -245,8 +246,17 @@ runMatrixPreset(const std::vector<std::string> &names,
     // Phase 2: one job per (workload x model x policy) cell. Every
     // cell owns its own Gpu instance and writes to a preassigned slot,
     // so the result vector — and therefore the TSV cache — is
-    // byte-identical no matter how many workers raced to fill it.
+    // byte-identical no matter how many workers raced to fill it. The
+    // cells of a workload borrow TB traces from one shared cache
+    // (traces do not depend on model or policy); the last cell of a
+    // workload to finish frees the workload and its traces.
     results.resize(names.size() * cellsPerWorkload);
+    std::vector<std::unique_ptr<TraceCache>> traces(names.size());
+    std::vector<std::atomic<std::size_t>> cellsLeft(names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        traces[i] = std::make_unique<TraceCache>();
+        cellsLeft[i] = cellsPerWorkload;
+    }
     {
         ThreadPool pool(static_cast<unsigned>(
             std::min<std::size_t>(jobs, results.size())));
@@ -261,7 +271,8 @@ runMatrixPreset(const std::vector<std::string> &names,
                         cfg.dynParModel = kModels[mi];
                         cfg.tbPolicy = kPolicies[pi];
                         cfg.seed = seed;
-                        results[slot] = runOne(*workloads[i], cfg);
+                        results[slot] =
+                            runOne(*workloads[i], cfg, traces[i].get());
                         results[slot].preset = preset;
                         laperm_inform(
                             "%s %s/%s: ipc=%.2f l1=%.3f l2=%.3f",
@@ -269,6 +280,10 @@ runMatrixPreset(const std::vector<std::string> &names,
                             toString(kPolicies[pi]), results[slot].ipc,
                             results[slot].l1HitRate,
                             results[slot].l2HitRate);
+                        if (--cellsLeft[i] == 0) {
+                            traces[i].reset();
+                            workloads[i].reset();
+                        }
                     });
                 }
             }

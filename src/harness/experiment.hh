@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "harness/result_cache.hh"
+#include "kernels/trace_cache.hh"
 #include "sim/config.hh"
 #include "sim/stats.hh"
 #include "workloads/workload.hh"
@@ -43,7 +44,8 @@ struct RunResult
 };
 
 /** Run one configuration (workload must be set up). */
-RunResult runOne(const Workload &workload, const GpuConfig &cfg);
+RunResult runOne(const Workload &workload, const GpuConfig &cfg,
+                 TraceCache *traces = nullptr);
 
 /**
  * Run one configuration and return the full canonical record (every
@@ -52,16 +54,23 @@ RunResult runOne(const Workload &workload, const GpuConfig &cfg);
  * written there under "<workload>_<model>_<policy>.*". This is the
  * execution path the serving subsystem (src/serve) uses; runOne is a
  * thin wrapper that honors LAPERM_TRACE_DIR instead.
+ *
+ * @param traces TB traces of this workload instance shared with other
+ *        runs of it (DESIGN.md §4.4); null builds traces for this
+ *        run only.
  */
 ResultRecord runOneRecord(const Workload &workload, const GpuConfig &cfg,
-                          const std::string &trace_dir);
+                          const std::string &trace_dir,
+                          TraceCache *traces = nullptr);
 
 /**
  * Full sweep: every workload in @p names under every model x policy.
  *
  * Cells are independent simulations and execute on a thread pool, one
  * job per cell; results (and the TSV cache) are emitted in the same
- * deterministic order regardless of worker count.
+ * deterministic order regardless of worker count. A workload's 8 cells
+ * share one TraceCache, so each TB trace is built once per workload;
+ * the workload and its traces are freed when its last cell ends.
  *
  * @param use_cache read/write "laperm_results_<scale>_<seed>.tsv"
  *        under the cache directory — $LAPERM_CACHE_DIR, default

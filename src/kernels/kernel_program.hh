@@ -44,8 +44,11 @@ class KernelProgram
 
     /**
      * Emit the op trace of one thread into @p ctx. Must be deterministic
-     * and const: the same (tbIndex, threadIndex) always produces the
-     * same trace, so traces can be regenerated per scheduling policy.
+     * and const: the same (tbIndex, threadIndex, threadsPerTb, numTbs)
+     * always produces the same trace, whatever the model, policy or
+     * machine. That makes a TB's trace a pure function of its launch,
+     * so it is built once and shared by every run of the workload
+     * instance (kernels/trace_cache.hh, DESIGN.md §4.4).
      */
     virtual void emitThread(ThreadCtx &ctx) const = 0;
 };

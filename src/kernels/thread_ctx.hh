@@ -26,7 +26,7 @@ class ThreadCtx
 
     /**
      * Reinitialize for a new thread, keeping the trace buffers'
-     * capacity (arena reuse in the TB build hot path).
+     * capacity (scratch contexts are reused across TB trace builds).
      */
     void reset(std::uint32_t tb_index, std::uint32_t thread_index,
                std::uint32_t threads_per_tb, std::uint32_t num_tbs);

@@ -238,13 +238,30 @@ Connection::writeAll(const std::string &data)
 bool
 Connection::readLine(std::string &line)
 {
+    if (oversized_)
+        return false;
     for (;;) {
-        const std::size_t nl = carry_.find('\n');
-        if (nl != std::string::npos) {
-            line = carry_.substr(0, nl);
-            carry_.erase(0, nl + 1);
+        // Resume the search where the last one stopped, so a long frame
+        // arriving in many pieces is scanned once, not once per piece.
+        const std::size_t nl = carry_.find('\n', scanned_);
+        if (nl != std::string::npos && nl - head_ <= kMaxFrameBytes) {
+            line.assign(carry_, head_, nl - head_);
+            head_ = scanned_ = nl + 1;
             return true;
         }
+        if (nl != std::string::npos ||
+            carry_.size() - head_ > kMaxFrameBytes) {
+            oversized_ = true;
+            carry_.clear();
+            carry_.shrink_to_fit();
+            shutdownBoth();
+            return false;
+        }
+        // Drop consumed frames once per receive rather than per frame,
+        // keeping a pipelined batch linear.
+        carry_.erase(0, head_);
+        scanned_ = carry_.size();
+        head_ = 0;
         char buf[4096];
         const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
         if (n < 0) {

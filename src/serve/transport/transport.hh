@@ -23,6 +23,7 @@
 #ifndef LAPERM_SERVE_TRANSPORT_TRANSPORT_HH
 #define LAPERM_SERVE_TRANSPORT_TRANSPORT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -31,6 +32,14 @@
 
 namespace laperm {
 namespace serve {
+
+/**
+ * Longest frame readLine accepts, terminator excluded. The largest
+ * frame the repo sends is a served tenant-mix payload of about 1 KiB, so
+ * 16 MiB only stops peers that never send a newline from growing a
+ * reader's buffer without bound.
+ */
+constexpr std::size_t kMaxFrameBytes = std::size_t{16} << 20;
 
 /**
  * One accepted or established stream connection. Owns the fd; the
@@ -55,7 +64,9 @@ class Connection
     /**
      * Read one '\n'-terminated frame into @p line (terminator
      * stripped). Bytes past the frame stay buffered for the next
-     * call. False on EOF/error with no complete frame buffered.
+     * call. False on EOF/error with no complete frame buffered, and
+     * when a frame exceeds kMaxFrameBytes: the connection is then shut
+     * down in both directions and every later read fails.
      */
     bool readLine(std::string &line);
 
@@ -71,7 +82,12 @@ class Connection
 
   private:
     int fd_ = -1;
-    std::string carry_; ///< bytes received past the last frame
+    /** Received bytes; those before head_ are already consumed. */
+    std::string carry_;
+    std::size_t head_ = 0;
+    /** carry_ before this offset holds no '\n' at or after head_. */
+    std::size_t scanned_ = 0;
+    bool oversized_ = false;
 };
 
 /**

@@ -65,8 +65,10 @@ struct StreamState
 } // namespace
 
 TenantManager::TenantManager(const MixSpec &mix, const GpuConfig &cfg,
-                             std::vector<const Workload *> workloads)
-    : mix_(mix), cfg_(cfg), workloads_(std::move(workloads))
+                             std::vector<const Workload *> workloads,
+                             TraceCache *traces)
+    : mix_(mix), cfg_(cfg), workloads_(std::move(workloads)),
+      traces_(traces)
 {
     laperm_assert(!mix_.tenants.empty(), "mix has no tenants");
     laperm_assert(workloads_.size() == mix_.tenants.size(),
@@ -78,7 +80,7 @@ TenantManager::run(Cycle max_cycles)
 {
     const std::size_t n = mix_.tenants.size();
 
-    Gpu gpu(cfg_);
+    Gpu gpu(cfg_, traces_);
     obs::TenantTracker tracker;
     std::vector<RuntimePredictor> predictors(
         n, RuntimePredictor(mix_.ewmaShift));
@@ -289,9 +291,10 @@ runMixStudy(const MixSpec &mix, const GpuConfig &cfg)
         borrowed.push_back(owned.back().get());
     }
 
+    TraceCache traces;
     MixStudy study;
     {
-        TenantManager manager(mix, cfg, borrowed);
+        TenantManager manager(mix, cfg, borrowed, &traces);
         study.shared = manager.run();
     }
 
@@ -304,7 +307,7 @@ runMixStudy(const MixSpec &mix, const GpuConfig &cfg)
         soloMix.admissionThresholdPct = mix.admissionThresholdPct;
         soloMix.ewmaShift = mix.ewmaShift;
         soloMix.quantum = mix.quantum;
-        TenantManager manager(soloMix, cfg, {borrowed[i]});
+        TenantManager manager(soloMix, cfg, {borrowed[i]}, &traces);
         MultiTenantResult r = manager.run();
         laperm_assert(r.perTenant.size() == 1, "solo run grew tenants");
         study.solo.push_back(std::move(r.perTenant[0]));

@@ -27,6 +27,7 @@
 
 #include <vector>
 
+#include "kernels/trace_cache.hh"
 #include "sim/config.hh"
 #include "tenant/metrics.hh"
 #include "tenant/tenant_spec.hh"
@@ -38,13 +39,16 @@ namespace tenant {
 /**
  * Drives one mix on one device configuration. Workloads are borrowed:
  * index-aligned with mix.tenants, already setup(), and reusable across
- * managers (waves() is const after setup).
+ * managers (waves() is const after setup). @p traces, when given, is
+ * the TB trace cache shared by every manager that runs these workload
+ * instances; it must outlive run().
  */
 class TenantManager
 {
   public:
     TenantManager(const MixSpec &mix, const GpuConfig &cfg,
-                  std::vector<const Workload *> workloads);
+                  std::vector<const Workload *> workloads,
+                  TraceCache *traces = nullptr);
 
     /** Run the whole mix to completion and collect per-tenant results. */
     MultiTenantResult run(Cycle max_cycles = Cycle(1) << 36);
@@ -53,6 +57,7 @@ class TenantManager
     const MixSpec mix_;
     const GpuConfig cfg_;
     std::vector<const Workload *> workloads_;
+    TraceCache *traces_;
 };
 
 /** A shared run, its per-tenant solo baselines, and the metrics. */
@@ -66,7 +71,9 @@ struct MixStudy
 /**
  * Convenience driver: instantiate the mix's workloads (scale from each
  * TenantSpec, seed from @p cfg), run the shared mix, then each tenant
- * alone with its own arrival schedule, and finalize the metrics.
+ * alone with its own arrival schedule, and finalize the metrics. All
+ * runs borrow TB traces from one cache, so the solo baselines rebuild
+ * none of the traces the shared run built.
  */
 MixStudy runMixStudy(const MixSpec &mix, const GpuConfig &cfg);
 

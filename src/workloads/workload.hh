@@ -40,7 +40,11 @@ Scale scaleFromEnv(Scale def = Scale::Small);
  * A benchmark application bound to one input data set.
  *
  * Lifecycle: construct, setup() once, then waves() may be replayed on
- * any number of Gpu instances (traces are const after setup).
+ * any number of Gpu instances (programs are const after setup). Runs
+ * of one instance may share a TraceCache, since the TB traces its
+ * programs emit depend on nothing else; the sweep harness and mix
+ * studies free an instance together with its cache after its last run
+ * (DESIGN.md §4.4).
  */
 class Workload
 {

@@ -6,13 +6,15 @@ using namespace laperm;
 
 namespace {
 
+const WarpOp kOneOp{};
+
 Warp
 makeWarp(std::uint64_t age, Cycle ready = 0)
 {
     Warp w;
     w.age = age;
     w.readyAt = ready;
-    w.ops.resize(1); // non-empty so finishedOps() is false
+    w.ops = {&kOneOp, 1}; // non-empty so finishedOps() is false
     return w;
 }
 

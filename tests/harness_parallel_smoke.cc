@@ -6,7 +6,9 @@
  * object is TSan-instrumented, keeping the race report clean.
  *
  * Exercises: parallel workload setup, concurrent cells sharing one
- * workload, logging from workers, and pool exception propagation.
+ * workload and its TB trace cache, concurrent mix studies each
+ * sharing a trace cache between their shared and solo runs, logging
+ * from workers, and pool exception propagation.
  */
 
 #include <cstdio>
@@ -16,6 +18,7 @@
 
 #include "common/log.hh"
 #include "harness/experiment.hh"
+#include "harness/tenant_sweep.hh"
 #include "harness/thread_pool.hh"
 
 using namespace laperm;
@@ -62,6 +65,17 @@ main()
             std::fprintf(stderr, "FAIL: cell %zu diverged\n", i);
             return 1;
         }
+    }
+
+    // Mix x policy cells, 4 workers vs 1 worker must agree.
+    const std::vector<std::string> mixes = {"duo"};
+    const std::string soloTsv =
+        encodeTenantSweepTsv(runTenantSweep(mixes, {"k20c"}, 3, false, 1));
+    const std::string poolTsv =
+        encodeTenantSweepTsv(runTenantSweep(mixes, {"k20c"}, 3, false, 4));
+    if (soloTsv.empty() || soloTsv != poolTsv) {
+        std::fprintf(stderr, "FAIL: tenant sweep diverged\n");
+        return 1;
     }
     std::printf("harness_parallel_smoke: ok (%zu cells)\n",
                 serial.size());

@@ -9,16 +9,23 @@ using namespace laperm;
 
 namespace {
 
-std::vector<ThreadCtx>
-makeThreads(std::uint32_t count,
-            const std::function<void(ThreadCtx &)> &body)
+/** Warp 0 of a one-warp TB of @p count threads running @p body. */
+struct OneWarp
 {
-    std::vector<ThreadCtx> threads;
-    for (std::uint32_t t = 0; t < count; ++t) {
-        threads.emplace_back(0, t, count, 1);
-        body(threads.back());
-    }
-    return threads;
+    std::shared_ptr<const TbTrace> trace;
+    std::span<const WarpOp> ops;
+};
+
+OneWarp
+buildWarp(std::uint32_t count, std::function<void(ThreadCtx &)> body)
+{
+    LambdaProgram program("t", allocateFunctionId(), std::move(body));
+    std::vector<ThreadCtx> scratch;
+    OneWarp w;
+    w.trace = TbTrace::build(program, 0, count, 1, scratch);
+    EXPECT_EQ(w.trace->numWarps(), 1u);
+    w.ops = w.trace->warp(0);
+    return w;
 }
 
 } // namespace
@@ -26,10 +33,10 @@ makeThreads(std::uint32_t count,
 TEST(WarpTrace, CoalescedLoadsMergeToOneLine)
 {
     // 32 threads loading consecutive 4-byte words in one line.
-    auto threads = makeThreads(32, [](ThreadCtx &c) {
+    auto w = buildWarp(32, [](ThreadCtx &c) {
         c.ld(c.threadIndex() * 4, 4);
     });
-    auto ops = buildWarpOps(threads, 0, 32);
+    const auto &ops = w.ops;
     ASSERT_EQ(ops.size(), 1u);
     EXPECT_EQ(ops[0].kind, OpKind::Load);
     EXPECT_EQ(ops[0].activeLanes, 32u);
@@ -38,20 +45,20 @@ TEST(WarpTrace, CoalescedLoadsMergeToOneLine)
 
 TEST(WarpTrace, ScatteredLoadsProduceManyLines)
 {
-    auto threads = makeThreads(32, [](ThreadCtx &c) {
+    auto w = buildWarp(32, [](ThreadCtx &c) {
         c.ld(static_cast<Addr>(c.threadIndex()) * 4096, 4);
     });
-    auto ops = buildWarpOps(threads, 0, 32);
+    const auto &ops = w.ops;
     ASSERT_EQ(ops.size(), 1u);
     EXPECT_EQ(ops[0].lines.size(), 32u);
 }
 
 TEST(WarpTrace, AluTakesMaxOverLanes)
 {
-    auto threads = makeThreads(4, [](ThreadCtx &c) {
+    auto w = buildWarp(4, [](ThreadCtx &c) {
         c.alu(c.threadIndex() + 1);
     });
-    auto ops = buildWarpOps(threads, 0, 4);
+    const auto &ops = w.ops;
     ASSERT_EQ(ops.size(), 1u);
     EXPECT_EQ(ops[0].aluCycles, 4u);
 }
@@ -59,13 +66,13 @@ TEST(WarpTrace, AluTakesMaxOverLanes)
 TEST(WarpTrace, DivergentKindsSerialize)
 {
     // Even threads compute, odd threads load: two warp ops.
-    auto threads = makeThreads(4, [](ThreadCtx &c) {
+    auto w = buildWarp(4, [](ThreadCtx &c) {
         if (c.threadIndex() % 2 == 0)
             c.alu(2);
         else
             c.ld(0);
     });
-    auto ops = buildWarpOps(threads, 0, 4);
+    const auto &ops = w.ops;
     ASSERT_EQ(ops.size(), 2u);
     EXPECT_EQ(ops[0].activeLanes, 2u);
     EXPECT_EQ(ops[1].activeLanes, 2u);
@@ -74,11 +81,11 @@ TEST(WarpTrace, DivergentKindsSerialize)
 
 TEST(WarpTrace, UnevenTraceLengths)
 {
-    auto threads = makeThreads(3, [](ThreadCtx &c) {
+    auto w = buildWarp(3, [](ThreadCtx &c) {
         for (std::uint32_t i = 0; i <= c.threadIndex(); ++i)
             c.ld(i * 4096 + c.threadIndex() * 131072);
     });
-    auto ops = buildWarpOps(threads, 0, 3);
+    const auto &ops = w.ops;
     // Positions: step0 all 3 lanes, step1 two lanes, step2 one lane.
     ASSERT_EQ(ops.size(), 3u);
     EXPECT_EQ(ops[0].activeLanes, 3u);
@@ -90,16 +97,13 @@ TEST(WarpTrace, BarrierWaitsForAllLanes)
 {
     // Lane 0 reaches the bar immediately; lane 1 loads first. The bar
     // must issue once, after the load, with both lanes.
-    std::vector<ThreadCtx> threads;
-    threads.emplace_back(0, 0, 2, 1);
-    threads.back().bar();
-    threads.back().alu(1);
-    threads.emplace_back(0, 1, 2, 1);
-    threads.back().ld(0);
-    threads.back().bar();
-    threads.back().alu(1);
-
-    auto ops = buildWarpOps(threads, 0, 2);
+    auto w = buildWarp(2, [](ThreadCtx &c) {
+        if (c.threadIndex() == 1)
+            c.ld(0);
+        c.bar();
+        c.alu(1);
+    });
+    const auto &ops = w.ops;
     ASSERT_EQ(ops.size(), 3u);
     EXPECT_EQ(ops[0].kind, OpKind::Load);
     EXPECT_EQ(ops[1].kind, OpKind::Bar);
@@ -111,11 +115,11 @@ TEST(WarpTrace, LaunchGathersPerLaneRequests)
 {
     auto child = std::make_shared<LambdaProgram>(
         "c", allocateFunctionId(), [](ThreadCtx &c) { c.alu(1); });
-    auto threads = makeThreads(4, [&](ThreadCtx &c) {
+    auto w = buildWarp(4, [&](ThreadCtx &c) {
         if (c.threadIndex() < 2)
             c.launch({child, c.threadIndex() + 1, 32});
     });
-    auto ops = buildWarpOps(threads, 0, 4);
+    const auto &ops = w.ops;
     ASSERT_EQ(ops.size(), 1u);
     EXPECT_EQ(ops[0].kind, OpKind::Launch);
     ASSERT_EQ(ops[0].launches.size(), 2u);
@@ -125,7 +129,6 @@ TEST(WarpTrace, LaunchGathersPerLaneRequests)
 
 TEST(WarpTrace, EmptyThreadsProduceNoOps)
 {
-    auto threads = makeThreads(2, [](ThreadCtx &) {});
-    auto ops = buildWarpOps(threads, 0, 2);
-    EXPECT_TRUE(ops.empty());
+    auto w = buildWarp(2, [](ThreadCtx &) {});
+    EXPECT_TRUE(w.ops.empty());
 }

@@ -2,8 +2,9 @@
  * @file
  * Transport-layer tests (DESIGN.md §15.1): endpoint parsing, UDS and
  * TCP round trips through listenOn/connectTo, framing across partial
- * reads, ephemeral-port reporting, stale-socket recovery, and the
- * wake() contract the session layer's shutdown path relies on.
+ * reads, pipelined batches and the frame-size cap, ephemeral-port
+ * reporting, stale-socket recovery, and the wake() contract the
+ * session layer's shutdown path relies on.
  */
 
 #include <gtest/gtest.h>
@@ -149,6 +150,70 @@ TEST(Transport, FramingSurvivesCoalescedAndSplitWrites)
     // EOF with no buffered frame: readLine reports failure.
     serverSide.join();
     EXPECT_FALSE(client->readLine(line));
+}
+
+TEST(Transport, PipelinedLinesArriveInOrder)
+{
+    const Endpoint ep = Endpoint::unixAt(sockPath("pipelined.sock"));
+    std::string err;
+    auto listener = listenOn(ep, 4, err);
+    ASSERT_NE(listener, nullptr) << err;
+
+    constexpr int kLines = 10000;
+    std::thread clientSide([&] {
+        std::string e;
+        auto client = connectTo(ep, e);
+        ASSERT_NE(client, nullptr) << e;
+        std::string batch;
+        for (int i = 0; i < kLines; ++i)
+            batch += "{\"verb\":\"ping\",\"id\":" + std::to_string(i) +
+                     "}\n";
+        ASSERT_TRUE(client->writeAll(batch));
+    });
+    auto conn = listener->accept();
+    ASSERT_NE(conn, nullptr);
+    std::string line;
+    for (int i = 0; i < kLines; ++i) {
+        ASSERT_TRUE(conn->readLine(line)) << i;
+        ASSERT_EQ(line, "{\"verb\":\"ping\",\"id\":" +
+                            std::to_string(i) + "}");
+    }
+    clientSide.join();
+    EXPECT_FALSE(conn->readLine(line)); // EOF after the batch
+}
+
+TEST(Transport, OversizedFrameClosesTheConnection)
+{
+    const Endpoint ep = Endpoint::unixAt(sockPath("oversized.sock"));
+    std::string err;
+    auto listener = listenOn(ep, 4, err);
+    ASSERT_NE(listener, nullptr) << err;
+
+    // A peer that streams twice the cap and never sends a newline.
+    std::string err2;
+    auto client = connectTo(ep, err2);
+    ASSERT_NE(client, nullptr) << err2;
+    bool sentAll = true;
+    std::thread clientSide([&] {
+        const std::string chunk(1 << 16, 'x');
+        for (std::size_t sent = 0; sent < 2 * kMaxFrameBytes && sentAll;
+             sent += chunk.size()) {
+            sentAll = client->writeAll(chunk);
+        }
+        // A reader without a cap would wait for more; end the stream so
+        // it sees EOF instead of hanging.
+        if (sentAll)
+            ::shutdown(client->fd(), SHUT_WR);
+    });
+    auto conn = listener->accept();
+    ASSERT_NE(conn, nullptr);
+    std::string line;
+    EXPECT_FALSE(conn->readLine(line));
+    clientSide.join();
+    // The reader stopped at the cap and closed: the rest of the stream
+    // was refused, and the connection stays failed.
+    EXPECT_FALSE(sentAll);
+    EXPECT_FALSE(conn->readLine(line));
 }
 
 TEST(Transport, StaleUnixSocketFileIsRecovered)

@@ -56,7 +56,7 @@ class DispatchRecorder
   public:
     explicit DispatchRecorder(Gpu &gpu)
     {
-        gpu.setDispatchHook(&DispatchRecorder::hook, this);
+        gpu.addDispatchHook(&DispatchRecorder::hook, this);
     }
 
     static void
