@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/text.hh"
 #include "harness/experiment.hh"
 #include "workloads/registry.hh"
 
@@ -87,12 +88,8 @@ main()
         return Scale::Tiny;
     }();
     const std::uint64_t seed = 1;
-    unsigned jobs = 4;
-    if (const char *env = std::getenv("LAPERM_JOBS")) {
-        long v = std::atol(env);
-        if (v > 0)
-            jobs = static_cast<unsigned>(v);
-    }
+    const auto jobs =
+        static_cast<unsigned>(envCount("LAPERM_JOBS", UINT32_MAX, 4));
 
     const std::vector<std::string> &names = workloadNames();
     const std::string cache = sweepCachePath(scale, seed);

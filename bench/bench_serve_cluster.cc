@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/text.hh"
 #include "common/rng.hh"
 #include "harness/experiment.hh"
 #include "serve/client.hh"
@@ -352,16 +353,10 @@ int
 main()
 {
     setVerbose(false);
-    if (const char *env = std::getenv("LAPERM_BENCH_REQUESTS")) {
-        const long v = std::atol(env);
-        if (v > 0)
-            g_requests = static_cast<std::uint64_t>(v);
-    }
-    if (const char *env = std::getenv("LAPERM_BENCH_UNIVERSE")) {
-        const long v = std::atol(env);
-        if (v > 0)
-            g_universe = static_cast<std::uint64_t>(v);
-    }
+    g_requests =
+        envCount("LAPERM_BENCH_REQUESTS", UINT64_MAX, g_requests);
+    g_universe =
+        envCount("LAPERM_BENCH_UNIVERSE", UINT64_MAX, g_universe);
 
     std::vector<ConfigResult> results;
     for (const char *transport : {"unix", "tcp"}) {

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/text.hh"
 #include "gpu/gpu.hh"
 #include "harness/experiment.hh"
 #include "serve/service/service.hh"
@@ -100,12 +101,8 @@ main()
             return scaleFromString(env);
         return Scale::Small;
     }();
-    std::uint64_t requests = 16;
-    if (const char *env = std::getenv("LAPERM_BENCH_REQUESTS")) {
-        long v = std::atol(env);
-        if (v > 0)
-            requests = static_cast<std::uint64_t>(v);
-    }
+    const std::uint64_t requests =
+        envCount("LAPERM_BENCH_REQUESTS", UINT64_MAX, 16);
     const std::uint64_t seed = 1;
 
     bool identical = true;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Static-analysis entry point: sim-lint (determinism + architecture
-# rules, DESIGN.md §12) plus the curated clang-tidy profile in
-# .clang-tidy. Exits nonzero on any finding.
+# Static-analysis entry point: a grep for ad-hoc number conversions,
+# sim-lint (determinism + architecture rules, DESIGN.md §12) plus the
+# curated clang-tidy profile in .clang-tidy. Exits nonzero on any
+# finding.
 #
 # sim-lint runs all four passes (token, layering, cycle-safety,
 # event-discipline) with per-pass timing, fails fast before the tidy
@@ -16,6 +17,18 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${LAPERM_LINT_BUILD:-build}"
 JOBS="${LAPERM_JOBS:-$(nproc)}"
+
+# --- Stage 0: one number parser ----------------------------------------
+# Text-to-number conversion goes through src/common/text.hh (DESIGN.md
+# §13.6); a bare strto*/ato*/std::sto* call elsewhere silently accepts
+# signs, junk and overflow the checked parsers reject.
+if grep -rnE '\b(strto[a-z]*|ato[il]|std::sto[a-z]*)\s*\(' src bench |
+    grep -v '^src/common/'; then
+    echo "lint.sh: ad-hoc number conversion outside src/common/;" \
+         "use parseUInt/parseFiniteDouble (common/text.hh)" >&2
+    exit 1
+fi
+echo "lint.sh: number conversions all go through src/common/"
 
 # --- Stage 1: sim-lint -------------------------------------------------
 if [ ! -f "$BUILD_DIR/CMakeCache.txt" ]; then

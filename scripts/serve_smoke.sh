@@ -42,13 +42,13 @@ cleanup() {
 }
 trap cleanup EXIT
 
-"$SERVED" --socket "$SOCK" --jobs 2 >"$WORK/daemon.log" 2>&1 &
+"$SERVED" --listen "unix:$SOCK" --jobs 2 >"$WORK/daemon.log" 2>&1 &
 DAEMON_PID=$!
 
 # Readiness: the daemon may still be binding the socket.
 ready=0
 for _ in $(seq 1 100); do
-    if "$SUBMIT" --socket "$SOCK" --ping >/dev/null 2>&1; then
+    if "$SUBMIT" --connect "unix:$SOCK" --ping >/dev/null 2>&1; then
         ready=1
         break
     fi
@@ -59,14 +59,14 @@ if [ "$ready" -ne 1 ]; then
     cat "$WORK/daemon.log" >&2 || true
     exit 1
 fi
-"$SUBMIT" --socket "$SOCK" --ping
+"$SUBMIT" --connect "unix:$SOCK" --ping
 
 # Determinism contract: direct, cold-served, and cache-served output
 # must be byte-identical.
 req=(--workload bfs-cage --scale tiny --seed 1)
 "$SIM" "${req[@]}" --csv >"$WORK/direct.csv"
-"$SUBMIT" --socket "$SOCK" "${req[@]}" >"$WORK/cold.csv"
-"$SUBMIT" --socket "$SOCK" "${req[@]}" >"$WORK/cached.csv"
+"$SUBMIT" --connect "unix:$SOCK" "${req[@]}" >"$WORK/cold.csv"
+"$SUBMIT" --connect "unix:$SOCK" "${req[@]}" >"$WORK/cached.csv"
 cmp "$WORK/direct.csv" "$WORK/cold.csv"
 cmp "$WORK/direct.csv" "$WORK/cached.csv"
 echo "serve_smoke: direct/cold/cached outputs byte-identical"
@@ -76,18 +76,18 @@ printf '%s\n' \
     '{"op":"run","workload":"bfs-cage","scale":"tiny","seed":1}' \
     '{"op":"run","workload":"bfs-cage","scale":"tiny","seed":2}' \
     >"$WORK/batch.jsonl"
-"$SUBMIT" --socket "$SOCK" --batch "$WORK/batch.jsonl" >"$WORK/batch.tsv"
+"$SUBMIT" --connect "unix:$SOCK" --batch "$WORK/batch.jsonl" >"$WORK/batch.tsv"
 [ "$(wc -l <"$WORK/batch.tsv")" -eq 3 ] # header comment + 2 rows
 head -1 "$WORK/batch.tsv" | grep -q '^# workload'
 echo "serve_smoke: batch TSV ok"
 
 # Metrics snapshot through the stats verb.
-"$SUBMIT" --socket "$SOCK" --stats >"$WORK/stats.tsv"
+"$SUBMIT" --connect "unix:$SOCK" --stats >"$WORK/stats.tsv"
 grep -q '^cache_hits' "$WORK/stats.tsv"
 grep -q '^executed' "$WORK/stats.tsv"
 
 # Clean protocol shutdown: daemon exits 0 and removes its socket.
-"$SUBMIT" --socket "$SOCK" --shutdown
+"$SUBMIT" --connect "unix:$SOCK" --shutdown
 wait "$DAEMON_PID"
 DAEMON_PID=
 if [ -e "$SOCK" ]; then

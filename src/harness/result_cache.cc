@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include "common/log.hh"
+#include "common/text.hh"
 #include "harness/experiment.hh"
 #include "sim/config_loader.hh"
 
@@ -19,6 +20,13 @@ namespace laperm {
 namespace {
 
 constexpr const char kHeaderPrefix[] = "# laperm-cache fingerprint=";
+
+// Largest valid enum values: a record naming anything beyond them is
+// corrupt, not a new model or policy.
+constexpr std::uint64_t kMaxModel =
+    static_cast<std::uint64_t>(DynParModel::DTBL);
+constexpr std::uint64_t kMaxPolicy =
+    static_cast<std::uint64_t>(TbPolicy::AdaptiveBind);
 
 } // namespace
 
@@ -92,76 +100,66 @@ ResultRecord::decode(const std::string &line, ResultRecord &out)
         return false;
 
     ResultRecord r;
-    // Bitmask of the 15 required fields, in encode() order.
+    std::uint64_t model = 0, policy = 0;
+    // The 13 numeric fields; workload and config are copied verbatim.
+    const struct
+    {
+        const char *key;
+        std::uint64_t *u; ///< unsigned field, or null for a double
+        std::uint64_t max;
+        double *d;
+    } kFields[] = {
+        {"model", &model, kMaxModel, nullptr},
+        {"policy", &policy, kMaxPolicy, nullptr},
+        {"cycles", &r.cycles, UINT64_MAX, nullptr},
+        {"launches", &r.launches, UINT64_MAX, nullptr},
+        {"dynamicTbs", &r.dynamicTbs, UINT64_MAX, nullptr},
+        {"bound", &r.bound, UINT64_MAX, nullptr},
+        {"overflows", &r.overflows, UINT64_MAX, nullptr},
+        {"kduStalls", &r.kduStalls, UINT64_MAX, nullptr},
+        {"ipc", nullptr, 0, &r.ipc},
+        {"l1", nullptr, 0, &r.l1},
+        {"l2", nullptr, 0, &r.l2},
+        {"util", nullptr, 0, &r.util},
+        {"imbalance", nullptr, 0, &r.imbalance},
+    };
+    constexpr unsigned kNumeric = sizeof(kFields) / sizeof(kFields[0]);
+    // Bitmask of the 15 required fields: the numeric ones, then
+    // workload and config.
     unsigned seen = 0;
-    auto mark = [&seen](unsigned bit) { seen |= 1u << bit; };
 
     while (ls >> tok) {
         const std::size_t eq = tok.find('=');
         if (eq == std::string::npos)
             return false;
-        const std::string k = tok.substr(0, eq);
-        const std::string v = tok.substr(eq + 1);
-        char *end = nullptr;
+        const std::string_view k = std::string_view(tok).substr(0, eq);
+        const std::string_view v = std::string_view(tok).substr(eq + 1);
         if (k == "workload") {
             r.workload = v;
-            mark(0);
+            seen |= 1u << kNumeric;
             continue;
         }
         if (k == "config") {
             r.config = v;
-            mark(14);
+            seen |= 1u << (kNumeric + 1);
             continue;
         }
-        if (k == "model") {
-            r.model = static_cast<DynParModel>(
-                std::strtol(v.c_str(), &end, 10));
-            mark(1);
-        } else if (k == "policy") {
-            r.policy =
-                static_cast<TbPolicy>(std::strtol(v.c_str(), &end, 10));
-            mark(2);
-        } else if (k == "cycles") {
-            r.cycles = std::strtoull(v.c_str(), &end, 10);
-            mark(3);
-        } else if (k == "launches") {
-            r.launches = std::strtoull(v.c_str(), &end, 10);
-            mark(4);
-        } else if (k == "dynamicTbs") {
-            r.dynamicTbs = std::strtoull(v.c_str(), &end, 10);
-            mark(5);
-        } else if (k == "bound") {
-            r.bound = std::strtoull(v.c_str(), &end, 10);
-            mark(6);
-        } else if (k == "overflows") {
-            r.overflows = std::strtoull(v.c_str(), &end, 10);
-            mark(7);
-        } else if (k == "kduStalls") {
-            r.kduStalls = std::strtoull(v.c_str(), &end, 10);
-            mark(8);
-        } else if (k == "ipc") {
-            r.ipc = std::strtod(v.c_str(), &end);
-            mark(9);
-        } else if (k == "l1") {
-            r.l1 = std::strtod(v.c_str(), &end);
-            mark(10);
-        } else if (k == "l2") {
-            r.l2 = std::strtod(v.c_str(), &end);
-            mark(11);
-        } else if (k == "util") {
-            r.util = std::strtod(v.c_str(), &end);
-            mark(12);
-        } else if (k == "imbalance") {
-            r.imbalance = std::strtod(v.c_str(), &end);
-            mark(13);
-        } else {
+        unsigned i = 0;
+        while (i < kNumeric && k != kFields[i].key)
+            ++i;
+        if (i == kNumeric)
             return false; // unknown field: format drift, reject
-        }
-        if (end == v.c_str() || *end != '\0')
+        const bool ok = kFields[i].u
+                            ? parseUInt(v, kFields[i].max, *kFields[i].u)
+                            : parseFiniteDouble(v, *kFields[i].d);
+        if (!ok)
             return false;
+        seen |= 1u << i;
     }
-    if (seen != (1u << 15) - 1)
+    if (seen != (1u << (kNumeric + 2)) - 1)
         return false;
+    r.model = static_cast<DynParModel>(model);
+    r.policy = static_cast<TbPolicy>(policy);
     out = std::move(r);
     return true;
 }
@@ -269,18 +267,31 @@ decodeSweepTsv(const std::string &tsv, std::vector<RunResult> &out)
             continue;
         }
         std::istringstream ls(line);
+        std::vector<std::string> f;
+        for (std::string tok; ls >> tok;)
+            f.push_back(std::move(tok));
+        const std::size_t base = extended ? 1 : 0;
+        if (f.size() != base + 12)
+            return false;
         RunResult r;
-        int mi, pi;
-        if (extended && !(ls >> r.preset))
+        if (extended)
+            r.preset = f[0];
+        r.workload = f[base];
+        std::uint64_t model = 0, policy = 0;
+        if (!parseUInt(f[base + 1], kMaxModel, model) ||
+            !parseUInt(f[base + 2], kMaxPolicy, policy))
             return false;
-        if (!(ls >> r.workload >> mi >> pi >> r.ipc >> r.l1HitRate >>
-              r.l2HitRate >> r.cycles >> r.smxUtilization >>
-              r.smxImbalance >> r.boundFraction >> r.queueOverflows >>
-              r.kduFullStalls)) {
-            return false;
+        r.model = static_cast<DynParModel>(model);
+        r.policy = static_cast<TbPolicy>(policy);
+        double *const values[] = {&r.ipc, &r.l1HitRate, &r.l2HitRate,
+                                  &r.cycles, &r.smxUtilization,
+                                  &r.smxImbalance, &r.boundFraction,
+                                  &r.queueOverflows, &r.kduFullStalls};
+        std::size_t i = base + 3;
+        for (double *v : values) {
+            if (!parseFiniteDouble(f[i++], *v))
+                return false;
         }
-        r.model = static_cast<DynParModel>(mi);
-        r.policy = static_cast<TbPolicy>(pi);
         rows.push_back(std::move(r));
     }
     out = std::move(rows);

@@ -1,6 +1,6 @@
 #include "harness/thread_pool.hh"
 
-#include <cstdlib>
+#include "common/text.hh"
 
 namespace laperm {
 
@@ -79,13 +79,9 @@ ThreadPool::workerLoop()
 unsigned
 ThreadPool::defaultJobs()
 {
-    if (const char *env = std::getenv("LAPERM_JOBS")) {
-        long v = std::atol(env);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
+    const unsigned hw = std::thread::hardware_concurrency();
+    return static_cast<unsigned>(
+        envCount("LAPERM_JOBS", UINT32_MAX, hw ? hw : 1));
 }
 
 } // namespace laperm

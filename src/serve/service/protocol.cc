@@ -1,7 +1,6 @@
 #include "serve/service/protocol.hh"
 
 #include <cctype>
-#include <cstdlib>
 
 namespace laperm {
 namespace serve {
@@ -24,6 +23,19 @@ struct Cursor
         }
     }
 };
+
+/** Value of hex digit @p h, or -1. */
+int
+hexDigit(char h)
+{
+    if (h >= '0' && h <= '9')
+        return h - '0';
+    if (h >= 'a' && h <= 'f')
+        return h - 'a' + 10;
+    if (h >= 'A' && h <= 'F')
+        return h - 'A' + 10;
+    return -1;
+}
 
 bool
 parseString(Cursor &c, std::string &out, std::string &err)
@@ -69,8 +81,22 @@ parseString(Cursor &c, std::string &out, std::string &err)
             case 't':
                 out += '\t';
                 break;
+            case 'u': {
+                // jsonEscape spells control bytes \u00XX; escapes
+                // beyond ASCII never appear in this protocol's traffic.
+                const bool ascii = c.s.size() - c.i >= 4 &&
+                                   c.s.compare(c.i, 2, "00") == 0;
+                const int hi = ascii ? hexDigit(c.s[c.i + 2]) : -1;
+                const int lo = ascii ? hexDigit(c.s[c.i + 3]) : -1;
+                if (hi < 0 || hi > 7 || lo < 0) {
+                    err = "unsupported escape";
+                    return false;
+                }
+                c.i += 4;
+                out += static_cast<char>(hi * 16 + lo);
+                break;
+            }
             default:
-                // \uXXXX never appears in this protocol's traffic.
                 err = "unsupported escape";
                 return false;
             }
@@ -206,35 +232,6 @@ parseJsonObject(const std::string &text, JsonObject &out, std::string &err)
     return true;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char ch : s) {
-        switch (ch) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            out += ch;
-        }
-    }
-    return out;
-}
-
 bool
 getString(const JsonObject &obj, const std::string &key, std::string &out)
 {
@@ -251,17 +248,7 @@ getU64(const JsonObject &obj, const std::string &key, std::uint64_t &out)
     auto it = obj.find(key);
     if (it == obj.end() || it->second.type != JsonValue::Type::Number)
         return false;
-    const std::string &raw = it->second.str;
-    if (raw.empty() || raw[0] == '-' ||
-        raw.find_first_of(".eE") != std::string::npos) {
-        return false;
-    }
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(raw.c_str(), &end, 10);
-    if (end == raw.c_str() || *end != '\0')
-        return false;
-    out = v;
-    return true;
+    return parseUInt(it->second.str, UINT64_MAX, out);
 }
 
 std::string

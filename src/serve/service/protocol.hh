@@ -22,6 +22,8 @@
 #include <map>
 #include <string>
 
+#include "common/text.hh" // jsonEscape, for every response writer
+
 namespace laperm {
 namespace serve {
 
@@ -68,14 +70,12 @@ using JsonObject = std::map<std::string, JsonValue>;
 bool parseJsonObject(const std::string &text, JsonObject &out,
                      std::string &err);
 
-/** Escape for embedding inside a JSON string literal. */
-std::string jsonEscape(const std::string &s);
-
 /** Fetch a string field; false if absent or not a string. */
 bool getString(const JsonObject &obj, const std::string &key,
                std::string &out);
 
-/** Fetch an unsigned integer field; false if absent/negative/frac. */
+/** Fetch an unsigned integer field; false if absent or not `[0-9]+`
+ *  within 64 bits. */
 bool getU64(const JsonObject &obj, const std::string &key,
             std::uint64_t &out);
 

@@ -6,10 +6,8 @@
  *   unix:PATH            Unix-domain stream socket
  *   tcp:HOST:PORT        TCP socket (IPv4 dotted quad or "localhost")
  *
- * A bare string with no scheme is accepted as a Unix path so every
- * pre-cluster invocation (`--socket laperm_served.sock`) keeps
- * working. Parsing is checked: a malformed endpoint is reported, never
- * half-applied (same stance as tools/cli_parse.hh).
+ * Parsing is checked: a malformed endpoint, including one with no
+ * scheme, is reported, never half-applied.
  */
 
 #ifndef LAPERM_SERVE_TRANSPORT_ENDPOINT_HH
@@ -49,8 +47,8 @@ struct Endpoint
 };
 
 /**
- * Parse "unix:PATH", "tcp:HOST:PORT", or a bare Unix path into @p out.
- * False with a diagnostic in @p err on malformed input (empty path,
+ * Parse "unix:PATH" or "tcp:HOST:PORT" into @p out. False with a
+ * diagnostic in @p err on malformed input (unknown scheme, empty path,
  * missing or non-numeric port, port > 65535, empty host).
  */
 bool parseEndpoint(const std::string &text, Endpoint &out,

@@ -1,61 +1,19 @@
 #include "sim/config_loader.hh"
 
-#include <cctype>
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
-#include <set>
 #include <sstream>
 
 #include "common/hash.hh"
 #include "common/log.hh"
+#include "common/text.hh"
 
 namespace laperm {
 namespace {
 
-// ---------------------------------------------------------------------
-// Checked scalar parsers. The config surface is user-supplied (files,
-// service requests), so every conversion rejects junk and overflow
-// instead of truncating the way a bare strtoul would.
-// ---------------------------------------------------------------------
-
-bool
-parseUIntChecked(const std::string &raw, std::uint64_t max,
-                 std::uint64_t &out)
-{
-    if (raw.empty())
-        return false;
-    std::uint64_t v = 0;
-    for (const char c : raw) {
-        if (c < '0' || c > '9')
-            return false;
-        const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-        if (v > (max - digit) / 10)
-            return false;
-        v = v * 10 + digit;
-    }
-    out = v;
-    return true;
-}
-
-bool
-parseDoubleChecked(const std::string &raw, double &out)
-{
-    if (raw.empty())
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(raw.c_str(), &end);
-    if (end != raw.c_str() + raw.size())
-        return false;
-    if (!std::isfinite(v))
-        return false;
-    out = v;
-    return true;
-}
-
 /**
- * Shortest decimal spelling that round-trips exactly through strtod.
+ * Shortest decimal spelling that round-trips exactly through
+ * parseFiniteDouble.
  * Gives "0.9" rather than "0.90000000000000002" while still keeping
  * emit -> parse -> emit a byte-identity.
  */
@@ -65,7 +23,7 @@ canonicalDouble(double v)
     for (int prec = 1; prec <= 17; ++prec) {
         const std::string s = logFormat("%.*g", prec, v);
         double back = 0.0;
-        if (parseDoubleChecked(s, back) && back == v)
+        if (parseFiniteDouble(s, back) && back == v)
             return s;
     }
     return logFormat("%.17g", v);
@@ -96,7 +54,7 @@ struct FieldDef
     {KEY, DOC, false,                                                        \
      [](GpuConfig &c, const std::string &raw, std::string &err) {            \
          std::uint64_t v = 0;                                                \
-         if (!parseUIntChecked(raw, 0xffffffffull, v)) {                     \
+         if (!parseUInt(raw, 0xffffffffull, v)) {                            \
              err = badValue(KEY, "unsigned 32-bit integer", raw);            \
              return false;                                                   \
          }                                                                   \
@@ -109,7 +67,7 @@ struct FieldDef
     {KEY, DOC, false,                                                        \
      [](GpuConfig &c, const std::string &raw, std::string &err) {            \
          std::uint64_t v = 0;                                                \
-         if (!parseUIntChecked(raw, 0xffffffffffffffffull, v)) {             \
+         if (!parseUInt(raw, 0xffffffffffffffffull, v)) {                    \
              err = badValue(KEY, "unsigned 64-bit integer", raw);            \
              return false;                                                   \
          }                                                                   \
@@ -122,7 +80,7 @@ struct FieldDef
     {KEY, DOC, false,                                                        \
      [](GpuConfig &c, const std::string &raw, std::string &err) {            \
          double v = 0.0;                                                     \
-         if (!parseDoubleChecked(raw, v)) {                                  \
+         if (!parseFiniteDouble(raw, v)) {                                   \
              err = badValue(KEY, "finite real number", raw);                 \
              return false;                                                   \
          }                                                                   \
@@ -281,30 +239,6 @@ findField(const std::string &key)
     return nullptr;
 }
 
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = 0;
-    std::size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
-/** Strip one layer of double quotes; false on an unterminated quote. */
-bool
-unquote(std::string &v)
-{
-    if (v.size() >= 1 && v[0] == '"') {
-        if (v.size() < 2 || v[v.size() - 1] != '"')
-            return false;
-        v = v.substr(1, v.size() - 2);
-    }
-    return true;
-}
-
 bool
 validKey(const std::string &k)
 {
@@ -351,56 +285,30 @@ bool
 parseMachineToml(const std::string &text, GpuConfig &cfg, std::string &err)
 {
     GpuConfig scratch = cfg;
-    std::set<std::string> seen;
-    std::istringstream in(text);
-    std::string raw_line;
-    int lineno = 0;
-    while (std::getline(in, raw_line)) {
-        ++lineno;
-        // Comments run to end of line; values never contain '#'.
-        const std::size_t hash = raw_line.find('#');
-        if (hash != std::string::npos)
-            raw_line = raw_line.substr(0, hash);
-        const std::string line = trim(raw_line);
-        if (line.empty())
-            continue;
-        if (line[0] == '[') {
-            if (line != "[machine]") {
-                err = logFormat("line %d: unknown section %s (only "
-                                "[machine] is recognized)",
-                                lineno, line.c_str());
+    bool sawKey = false;
+    auto visit = [&](const ConfigLine &l, std::string &e) {
+        if (l.header) {
+            if (l.section != "machine") {
+                e = "unknown section [" + std::string(l.section) +
+                    "] (only [machine] is recognized)";
                 return false;
             }
-            continue;
+            if (sawKey) {
+                e = "[machine] must precede every key";
+                return false;
+            }
+            return true;
         }
-        const std::size_t eq = line.find('=');
-        if (eq == std::string::npos) {
-            err = logFormat("line %d: expected 'key = value'", lineno);
-            return false;
-        }
-        const std::string key = trim(line.substr(0, eq));
-        std::string value = trim(line.substr(eq + 1));
+        sawKey = true;
+        const std::string key(l.key);
         if (!validKey(key)) {
-            err = logFormat("line %d: malformed key '%s'", lineno,
-                            key.c_str());
+            e = "malformed key '" + key + "'";
             return false;
         }
-        if (!seen.insert(key).second) {
-            err = logFormat("line %d: duplicate key '%s'", lineno,
-                            key.c_str());
-            return false;
-        }
-        if (!unquote(value)) {
-            err = logFormat("line %d: unterminated string for '%s'",
-                            lineno, key.c_str());
-            return false;
-        }
-        std::string field_err;
-        if (!setMachineField(scratch, key, value, field_err)) {
-            err = logFormat("line %d: %s", lineno, field_err.c_str());
-            return false;
-        }
-    }
+        return setMachineField(scratch, key, std::string(l.value), e);
+    };
+    if (!lexConfig(text, visit, err))
+        return false;
     cfg = scratch;
     return true;
 }

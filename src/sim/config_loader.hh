@@ -28,16 +28,10 @@
  *  - setMachineField(): single-key override used by the serve layer to
  *    map flat-JSON request fields onto the same checked parsers.
  *
- * Grammar of the TOML subset (a superset of the layering.toml reader's
- * needs, same parsing discipline):
- *
- *   file     := line*
- *   line     := ws (comment | section | entry)? ws
- *   section  := "[machine]"            ; the only legal section
- *   entry    := key ws "=" ws value ws comment?
- *   key      := [a-z_][a-z0-9_]*
- *   value    := integer | float | bool | '"' string '"'
- *   comment  := "#" .*                 ; values must not contain '#'
+ * Grammar: the shared config lexer (common/text.hh) with one legal
+ * section, `[machine]`, optional but first if present; keys are
+ * [a-z_][a-z0-9_]*; values are integers, finite doubles, bools or
+ * quoted enum names, each checked by its field's parser.
  */
 
 #ifndef LAPERM_SIM_CONFIG_LOADER_HH

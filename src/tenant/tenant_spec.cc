@@ -1,37 +1,16 @@
 #include "tenant/tenant_spec.hh"
 
 #include <cctype>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
-#include "common/log.hh"
+#include "common/text.hh"
 #include "workloads/registry.hh"
 
 namespace laperm {
 namespace tenant {
 
 namespace {
-
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = 0, e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
-/** Strip an optional matched pair of double quotes. */
-std::string
-unquote(const std::string &s)
-{
-    if (s.size() >= 2 && s.front() == '"' && s.back() == '"')
-        return s.substr(1, s.size() - 2);
-    return s;
-}
 
 bool
 validName(const std::string &s)
@@ -46,25 +25,6 @@ validName(const std::string &s)
         }
     }
     return true;
-}
-
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end != s.c_str() + s.size())
-        return false;
-    out = v;
-    return true;
-}
-
-std::string
-lineErr(int line, const std::string &msg)
-{
-    return "line " + std::to_string(line) + ": " + msg;
 }
 
 bool
@@ -97,161 +57,115 @@ parseMixToml(const std::string &text, MixSpec &out, std::string &err)
     // Scratch-then-commit (config_loader discipline): @p out is only
     // written once the whole spec parsed and validated.
     MixSpec mix;
-    enum class Section
-    {
-        None,
-        Mix,
-        Tenant,
-    };
-    Section section = Section::None;
     TenantSpec *cur = nullptr;
-    bool sawPeriod = false;
 
-    std::istringstream in(text);
-    std::string raw;
-    int lineNo = 0;
-    while (std::getline(in, raw)) {
-        ++lineNo;
-        std::string line = raw;
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        line = trim(line);
-        if (line.empty())
-            continue;
-
-        if (line.front() == '[') {
-            if (line.back() != ']') {
-                err = lineErr(lineNo, "unterminated section header");
-                return false;
-            }
-            std::string sec = trim(line.substr(1, line.size() - 2));
-            if (sec == "mix") {
-                section = Section::Mix;
-                cur = nullptr;
-                continue;
-            }
+    auto visit = [&](const ConfigLine &l, std::string &e) {
+        const std::string_view sec = l.section;
+        if (l.header) {
+            cur = nullptr;
+            if (sec == "mix")
+                return true;
             if (sec.rfind("tenant.", 0) == 0) {
-                std::string name = sec.substr(7);
+                const std::string name(sec.substr(7));
                 if (!validName(name)) {
-                    err = lineErr(lineNo,
-                                  "bad tenant name '" + name + "'");
+                    e = "bad tenant name '" + name + "'";
                     return false;
                 }
                 for (const TenantSpec &t : mix.tenants) {
                     if (t.name == name) {
-                        err = lineErr(lineNo, "duplicate tenant '" +
-                                                  name + "'");
+                        e = "duplicate tenant '" + name + "'";
                         return false;
                     }
                 }
                 mix.tenants.emplace_back();
                 cur = &mix.tenants.back();
                 cur->name = name;
-                section = Section::Tenant;
-                sawPeriod = false;
-                continue;
+                return true;
             }
-            err = lineErr(lineNo, "unknown section " + sec +
-                                      " (only [mix] and [tenant.<name>] "
-                                      "are recognized)");
+            e = "unknown section " + std::string(sec) +
+                " (only [mix] and [tenant.<name>] are recognized)";
             return false;
         }
 
-        auto eq = line.find('=');
-        if (eq == std::string::npos) {
-            err = lineErr(lineNo, "expected key = value");
-            return false;
-        }
-        const std::string key = trim(line.substr(0, eq));
-        const std::string value = unquote(trim(line.substr(eq + 1)));
+        const std::string key(l.key);
+        const std::string value(l.value);
         if (!validName(key)) {
-            err = lineErr(lineNo, "bad key '" + key + "'");
+            e = "bad key '" + key + "'";
             return false;
         }
+        // value as a count in [lo, hi] into v, else error @p what.
+        std::uint64_t v = 0;
+        auto count = [&](std::uint64_t lo, std::uint64_t hi,
+                         const char *what) {
+            if (parseUInt(value, hi, v) && v >= lo)
+                return true;
+            e = what;
+            return false;
+        };
 
-        if (section == Section::Mix) {
-            std::uint64_t v = 0;
+        if (sec == "mix") {
             if (key == "name") {
                 mix.name = value;
             } else if (key == "quantum") {
-                if (!parseU64(value, v) || v == 0) {
-                    err = lineErr(lineNo, "quantum must be a positive "
-                                          "cycle count");
+                if (!count(1, UINT64_MAX,
+                           "quantum must be a positive cycle count"))
                     return false;
-                }
                 mix.quantum = v;
             } else if (key == "admission_threshold_pct") {
-                if (!parseU64(value, v) || v == 0 || v > 100) {
-                    err = lineErr(lineNo, "admission_threshold_pct must "
-                                          "be in 1..100");
+                if (!count(1, 100,
+                           "admission_threshold_pct must be in 1..100"))
                     return false;
-                }
-                mix.admissionThresholdPct =
-                    static_cast<std::uint32_t>(v);
+                mix.admissionThresholdPct = static_cast<std::uint32_t>(v);
             } else if (key == "ewma_shift") {
-                if (!parseU64(value, v) || v > 16) {
-                    err = lineErr(lineNo, "ewma_shift must be in 0..16");
+                if (!count(0, 16, "ewma_shift must be in 0..16"))
                     return false;
-                }
                 mix.ewmaShift = static_cast<std::uint32_t>(v);
             } else {
-                err = lineErr(lineNo, "unknown [mix] key '" + key + "'");
+                e = "unknown [mix] key '" + key + "'";
                 return false;
             }
-        } else if (section == Section::Tenant) {
-            std::uint64_t v = 0;
-            if (key == "workload") {
-                if (!isKnownWorkload(value)) {
-                    err = lineErr(lineNo, "unknown workload '" + value +
-                                              "' (known: " +
-                                              workloadNameList() + ")");
-                    return false;
-                }
-                cur->workload = value;
-            } else if (key == "scale") {
-                if (!parseScaleName(value, cur->scale)) {
-                    err = lineErr(lineNo, "scale must be "
-                                          "tiny|small|full|huge");
-                    return false;
-                }
-            } else if (key == "priority") {
-                if (!parseU64(value, v) || v > 255) {
-                    err = lineErr(lineNo, "priority must be in 0..255");
-                    return false;
-                }
-                cur->priority = static_cast<std::uint32_t>(v);
-            } else if (key == "arrival") {
-                if (!parseU64(value, v)) {
-                    err = lineErr(lineNo, "arrival must be a cycle "
-                                          "count");
-                    return false;
-                }
-                cur->firstArrival = v;
-            } else if (key == "period") {
-                if (!parseU64(value, v)) {
-                    err = lineErr(lineNo, "period must be a cycle "
-                                          "count");
-                    return false;
-                }
-                cur->period = v;
-                sawPeriod = true;
-            } else if (key == "jobs") {
-                if (!parseU64(value, v) || v == 0) {
-                    err = lineErr(lineNo, "jobs must be positive");
-                    return false;
-                }
-                cur->jobs = static_cast<std::uint32_t>(v);
-            } else {
-                err = lineErr(lineNo,
-                              "unknown [tenant] key '" + key + "'");
-                return false;
-            }
-        } else {
-            err = lineErr(lineNo, "key outside any section");
+            return true;
+        }
+        if (!cur) {
+            e = "key outside any section";
             return false;
         }
-    }
+        if (key == "workload") {
+            if (!isKnownWorkload(value)) {
+                e = "unknown workload '" + value + "' (known: " +
+                    workloadNameList() + ")";
+                return false;
+            }
+            cur->workload = value;
+        } else if (key == "scale") {
+            if (!parseScaleName(value, cur->scale)) {
+                e = "scale must be tiny|small|full|huge";
+                return false;
+            }
+        } else if (key == "priority") {
+            if (!count(0, 255, "priority must be in 0..255"))
+                return false;
+            cur->priority = static_cast<std::uint32_t>(v);
+        } else if (key == "arrival") {
+            if (!count(0, UINT64_MAX, "arrival must be a cycle count"))
+                return false;
+            cur->firstArrival = v;
+        } else if (key == "period") {
+            if (!count(0, UINT64_MAX, "period must be a cycle count"))
+                return false;
+            cur->period = v;
+        } else if (key == "jobs") {
+            if (!count(1, UINT32_MAX, "jobs must be in 1..4294967295"))
+                return false;
+            cur->jobs = static_cast<std::uint32_t>(v);
+        } else {
+            e = "unknown [tenant] key '" + key + "'";
+            return false;
+        }
+        return true;
+    };
+    if (!lexConfig(text, visit, err))
+        return false;
 
     if (mix.tenants.empty()) {
         err = "mix has no [tenant.<name>] sections";
@@ -268,7 +182,6 @@ parseMixToml(const std::string &text, MixSpec &out, std::string &err)
             return false;
         }
     }
-    (void)sawPeriod;
     out = std::move(mix);
     return true;
 }

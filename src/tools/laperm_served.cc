@@ -7,9 +7,8 @@
  *
  * Usage:
  *   laperm_served [options]
- *     --listen ENDPOINT    unix:PATH | tcp:HOST:PORT | bare path
+ *     --listen ENDPOINT    unix:PATH | tcp:HOST:PORT
  *                          (default unix:laperm_served.sock)
- *     --socket PATH        legacy alias for --listen unix:PATH
  *     --cluster N          supervise N worker daemons on derived
  *                          endpoints and balance requests onto them by
  *                          consistent hash of the content key
@@ -32,12 +31,12 @@
 #include <unistd.h>
 
 #include "common/log.hh"
+#include "common/text.hh"
 #include "harness/result_cache.hh"
 #include "serve/cluster/balancer.hh"
 #include "serve/cluster/supervisor.hh"
 #include "serve/service/service_handler.hh"
 #include "serve/session/server.hh"
-#include "tools/cli_parse.hh"
 
 using namespace laperm;
 using namespace laperm::serve;
@@ -56,7 +55,7 @@ onSignal(int)
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s [--listen ENDPOINT] [--socket PATH] "
+                 "usage: %s [--listen ENDPOINT] "
                  "[--cluster N] [--jobs N] [--queue-capacity N] "
                  "[--timeout-ms N] [--cache-dir DIR]\n",
                  argv0);
@@ -178,21 +177,17 @@ main(int argc, char **argv)
             usage(argv[0]);
         return argv[++i];
     };
-    auto parse_u32 = [&](const char *s, const char *what) {
-        std::uint32_t v = 0;
-        if (!cli::parseU32(s, v)) {
+    auto parse_u64 = [&](const char *s, const char *what,
+                         std::uint64_t max = UINT64_MAX) {
+        std::uint64_t v = 0;
+        if (!parseUInt(s, max, v)) {
             std::fprintf(stderr, "bad %s value '%s'\n", what, s);
             std::exit(2);
         }
         return v;
     };
-    auto parse_u64 = [&](const char *s, const char *what) {
-        std::uint64_t v = 0;
-        if (!cli::parseU64(s, v)) {
-            std::fprintf(stderr, "bad %s value '%s'\n", what, s);
-            std::exit(2);
-        }
-        return v;
+    auto parse_u32 = [&](const char *s, const char *what) {
+        return static_cast<std::uint32_t>(parse_u64(s, what, UINT32_MAX));
     };
 
     // Worker args reproduce the service-shaping flags verbatim so
@@ -203,19 +198,13 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
-        if (!std::strcmp(a, "--listen") || !std::strcmp(a, "--socket")) {
-            const bool legacy = !std::strcmp(a, "--socket");
-            const char *text = next_arg(i);
+        if (!std::strcmp(a, "--listen")) {
             std::string err;
-            Endpoint ep;
-            if (legacy) {
-                ep = Endpoint::unixAt(text);
-            } else if (!parseEndpoint(text, ep, err)) {
+            if (!parseEndpoint(next_arg(i), session.endpoint, err)) {
                 std::fprintf(stderr, "laperm_served: %s\n",
                              err.c_str());
                 return 2;
             }
-            session.endpoint = ep;
         } else if (!std::strcmp(a, "--cluster")) {
             cluster = parse_u32(next_arg(i), "--cluster");
             if (cluster == 0) {

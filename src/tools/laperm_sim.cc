@@ -57,6 +57,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/text.hh"
 #include "gpu/gpu.hh"
 #include "gpu/trace.hh"
 #include "obs/locality.hh"
@@ -69,7 +70,6 @@
 #include "sim/presets.hh"
 #include "tenant/mixes.hh"
 #include "tenant/tenant_manager.hh"
-#include "tools/cli_parse.hh"
 #include "workloads/registry.hh"
 
 using namespace laperm;
@@ -126,17 +126,17 @@ usage(const char *argv0)
 std::uint32_t
 parseU32(const char *s, const char *what)
 {
-    std::uint32_t v = 0;
-    if (!cli::parseU32(s, v))
+    std::uint64_t v = 0;
+    if (!parseUInt(s, UINT32_MAX, v))
         laperm_fatal("bad %s value '%s'", what, s);
-    return v;
+    return static_cast<std::uint32_t>(v);
 }
 
 std::uint64_t
 parseU64(const char *s, const char *what)
 {
     std::uint64_t v = 0;
-    if (!cli::parseU64(s, v))
+    if (!parseUInt(s, UINT64_MAX, v))
         laperm_fatal("bad %s value '%s'", what, s);
     return v;
 }

@@ -2,15 +2,14 @@
  * @file
  * Client for laperm_served (DESIGN.md §10): builds a canonical
  * simulation request from laperm_sim-style flags, submits it over the
- * daemon's Unix socket, and renders the returned record through the
+ * daemon's endpoint, and renders the returned record through the
  * same formatter laperm_sim --csv uses — served output is byte-
  * identical to a direct run.
  *
  * Usage:
  *   laperm_submit [options]
- *     --connect ENDPOINT  unix:PATH | tcp:HOST:PORT | bare path
+ *     --connect ENDPOINT  unix:PATH | tcp:HOST:PORT
  *                         (default unix:laperm_served.sock)
- *     --socket PATH     legacy alias for --connect unix:PATH
  *     --workload NAME   bfs-citation, join-gaussian, ...
  *     --policy P        rr | tbpri | smxbind | adaptive (default rr)
  *     --model M         cdp | dtbl (default dtbl)
@@ -47,13 +46,13 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/text.hh"
 #include "harness/experiment.hh"
 #include "harness/result_cache.hh"
 #include "serve/client.hh"
 #include "serve/service/sim_request.hh"
 #include "sim/config_loader.hh"
 #include "sim/presets.hh"
-#include "tools/cli_parse.hh"
 
 using namespace laperm;
 using namespace laperm::serve;
@@ -74,7 +73,7 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--connect ENDPOINT] [--socket PATH] "
+        "usage: %s [--connect ENDPOINT] "
         "[--workload NAME] "
         "[--policy rr|tbpri|smxbind|adaptive] [--model cdp|dtbl] "
         "[--scale tiny|small|full|huge] [--seed N] [--preset NAME] "
@@ -273,38 +272,27 @@ main(int argc, char **argv)
             usage(argv[0]);
         return argv[++i];
     };
-    auto parse_u32 = [&](const char *s, const char *what) {
-        std::uint32_t v = 0;
-        if (!cli::parseU32(s, v)) {
+    auto parse_u64 = [&](const char *s, const char *what,
+                         std::uint64_t max = UINT64_MAX) {
+        std::uint64_t v = 0;
+        if (!parseUInt(s, max, v)) {
             std::fprintf(stderr, "bad %s value '%s'\n", what, s);
             std::exit(2);
         }
         return v;
     };
-    auto parse_u64 = [&](const char *s, const char *what) {
-        std::uint64_t v = 0;
-        if (!cli::parseU64(s, v)) {
-            std::fprintf(stderr, "bad %s value '%s'\n", what, s);
-            std::exit(2);
-        }
-        return v;
+    auto parse_u32 = [&](const char *s, const char *what) {
+        return static_cast<std::uint32_t>(parse_u64(s, what, UINT32_MAX));
     };
 
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
-        if (!std::strcmp(a, "--connect") ||
-            !std::strcmp(a, "--socket")) {
-            const bool legacy = !std::strcmp(a, "--socket");
-            const char *text = next_arg(i);
-            if (legacy) {
-                copts.endpoint = Endpoint::unixAt(text);
-            } else {
-                std::string ep_err;
-                if (!parseEndpoint(text, copts.endpoint, ep_err)) {
-                    std::fprintf(stderr, "laperm_submit: %s\n",
-                                 ep_err.c_str());
-                    return 2;
-                }
+        if (!std::strcmp(a, "--connect")) {
+            std::string ep_err;
+            if (!parseEndpoint(next_arg(i), copts.endpoint, ep_err)) {
+                std::fprintf(stderr, "laperm_submit: %s\n",
+                             ep_err.c_str());
+                return 2;
             }
         } else if (!std::strcmp(a, "--workload")) {
             req.workload = next_arg(i);

@@ -75,26 +75,6 @@ balancedParens(const std::string &s, std::size_t open)
     return s.substr(open + 1); // unbalanced (multi-line): take the rest
 }
 
-/** Normalize internal whitespace runs to single spaces, trim ends. */
-std::string
-squeeze(const std::string &s)
-{
-    std::string out;
-    bool space = true;
-    for (char c : s) {
-        if (std::isspace(static_cast<unsigned char>(c))) {
-            if (!out.empty())
-                space = true;
-        } else {
-            if (space && !out.empty())
-                out += ' ';
-            space = false;
-            out += c;
-        }
-    }
-    return out;
-}
-
 bool
 isFloatType(const std::string &t)
 {

@@ -1,13 +1,12 @@
 #include "tools/lint_driver.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 
+#include "common/text.hh"
 #include "tools/lint_cycle.hh"
 #include "tools/lint_event.hh"
 #include "tools/lint_layering.hh"
@@ -43,25 +42,6 @@ fileExists(const std::string &path)
     return static_cast<bool>(in);
 }
 
-std::string
-squeeze(const std::string &s)
-{
-    std::string out;
-    bool space = true;
-    for (char c : s) {
-        if (std::isspace(static_cast<unsigned char>(c))) {
-            if (!out.empty())
-                space = true;
-        } else {
-            if (space && !out.empty())
-                out += ' ';
-            space = false;
-            out += c;
-        }
-    }
-    return out;
-}
-
 std::uint64_t
 nowMicros()
 {
@@ -87,38 +67,6 @@ sortFindings(std::vector<Finding> &fs)
                              static_cast<int>(b.rule);
                   return a.message < b.message;
               });
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 } // namespace

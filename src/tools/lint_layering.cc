@@ -1,10 +1,14 @@
 #include "tools/lint_layering.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <fstream>
 #include <regex>
 #include <set>
 #include <sstream>
+#include <string_view>
+
+#include "common/text.hh"
 
 namespace laperm {
 namespace simlint {
@@ -31,33 +35,40 @@ LayerSpec::allows(const std::string &from, const std::string &to) const
 
 namespace {
 
-std::string
-trim(const std::string &s)
+/** Split a `["a", "b"]` list value into its quoted items. */
+bool
+parseList(std::string_view v, std::vector<std::string> &items)
 {
-    std::size_t b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    std::size_t e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
+    items.clear();
+    if (v.size() < 2 || v.front() != '[' || v.back() != ']')
+        return false;
+    v = trim(v.substr(1, v.size() - 2));
+    while (!v.empty()) {
+        const std::size_t comma = v.find(',');
+        const std::string_view item = trim(v.substr(0, comma));
+        if (item.size() < 3 || item.front() != '"' || item.back() != '"' ||
+            item.find('"', 1) != item.size() - 1) {
+            return false;
+        }
+        items.emplace_back(item.substr(1, item.size() - 2));
+        if (comma == std::string_view::npos)
+            break;
+        v = trim(v.substr(comma + 1));
+    }
+    return true;
 }
 
-/** Parse `name = ["a", "b"]` into (name, items). */
+/** Module and group names: [A-Za-z_][A-Za-z0-9_-]*. */
 bool
-parseEntry(const std::string &line, std::string &name,
-           std::vector<std::string> &items)
+validName(std::string_view k)
 {
-    static const std::regex entry(
-        R"(^([A-Za-z_][\w-]*)\s*=\s*\[([^\]]*)\]$)");
-    std::smatch m;
-    if (!std::regex_match(line, m, entry))
+    if (k.empty() || std::isdigit(static_cast<unsigned char>(k[0])) ||
+        k[0] == '-')
         return false;
-    name = m[1].str();
-    items.clear();
-    static const std::regex quoted(R"re("([^"]+)")re");
-    const std::string body = m[2].str();
-    for (auto it = std::sregex_iterator(body.begin(), body.end(), quoted);
-         it != std::sregex_iterator(); ++it) {
-        items.push_back((*it)[1].str());
+    for (const char c : k) {
+        if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_' &&
+            c != '-')
+            return false;
     }
     return true;
 }
@@ -116,61 +127,39 @@ bool
 parseLayerSpec(const std::string &text, LayerSpec &spec, std::string &err)
 {
     spec = LayerSpec{};
-    enum class Section { None, Layers, Groups };
-    Section section = Section::None;
-    std::size_t lineNo = 0;
-    for (const std::string &raw : splitLines(text)) {
-        ++lineNo;
-        std::string line = raw;
-        // strip trailing comment (the spec has no quoted '#')
-        std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        line = trim(line);
-        if (line.empty())
-            continue;
-        if (line == "[layers]") {
-            section = Section::Layers;
-            continue;
-        }
-        if (line == "[groups]") {
-            section = Section::Groups;
-            continue;
-        }
-        if (line.front() == '[') {
-            err = "layering spec line " + std::to_string(lineNo) +
-                  ": unknown section " + line;
+    auto visit = [&](const ConfigLine &l, std::string &e) {
+        if (l.header) {
+            if (l.section == "layers" || l.section == "groups")
+                return true;
+            e = "unknown section [" + std::string(l.section) + "]";
             return false;
         }
-        std::string name;
+        const std::string name(l.key);
         std::vector<std::string> items;
-        if (!parseEntry(line, name, items)) {
-            err = "layering spec line " + std::to_string(lineNo) +
-                  ": expected `name = [\"dep\", ...]`, got: " + line;
+        if (!validName(name) || !parseList(l.value, items)) {
+            e = "expected `name = [\"dep\", ...]`, got: " + name + " = " +
+                std::string(l.value);
             return false;
         }
-        if (section == Section::Layers) {
-            if (spec.deps.count(name)) {
-                err = "layering spec line " + std::to_string(lineNo) +
-                      ": duplicate module " + name;
-                return false;
-            }
+        if (l.section == "layers") {
             std::sort(items.begin(), items.end());
             spec.deps[name] = items;
-        } else if (section == Section::Groups) {
+        } else if (l.section == "groups") {
             for (const auto &m : items) {
-                if (spec.groupOf.count(m)) {
-                    err = "layering spec line " + std::to_string(lineNo) +
-                          ": module " + m + " in two groups";
+                if (!spec.groupOf.emplace(m, name).second) {
+                    e = "module " + m + " in two groups";
                     return false;
                 }
-                spec.groupOf[m] = name;
             }
         } else {
-            err = "layering spec line " + std::to_string(lineNo) +
-                  ": entry outside [layers]/[groups]";
+            e = "entry outside [layers]/[groups]";
             return false;
         }
+        return true;
+    };
+    if (!lexConfig(text, visit, err)) {
+        err = "layering spec " + err;
+        return false;
     }
     if (spec.deps.empty()) {
         err = "layering spec declares no modules";

@@ -1,6 +1,7 @@
 #include "tools/sim_lint.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <regex>
@@ -254,6 +255,25 @@ splitLines(const std::string &s)
     }
     lines.push_back(cur);
     return lines;
+}
+
+std::string
+squeeze(const std::string &s)
+{
+    std::string out;
+    bool space = true;
+    for (char c : s) {
+        if (std::isspace(static_cast<unsigned char>(c))) {
+            if (!out.empty())
+                space = true;
+        } else {
+            if (space && !out.empty())
+                out += ' ';
+            space = false;
+            out += c;
+        }
+    }
+    return out;
 }
 
 std::vector<Allow>

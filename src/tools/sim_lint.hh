@@ -137,6 +137,9 @@ std::string stripComments(const std::string &src);
 /** Split @p s on '\n' (a trailing fragment counts as a line). */
 std::vector<std::string> splitLines(const std::string &s);
 
+/** Collapse whitespace runs to single spaces and trim both ends. */
+std::string squeeze(const std::string &s);
+
 /** Collect every allow()/allow-file() marker from raw source lines. */
 std::vector<Allow> collectAllows(const std::vector<std::string> &rawLines);
 

@@ -9,6 +9,7 @@
 #include "harness/result_cache.hh"
 #include "sim/config_loader.hh"
 #include "sim/presets.hh"
+#include "workloads/registry.hh"
 
 using namespace laperm;
 
@@ -109,6 +110,46 @@ TEST(ResultRecordTest, DecodeRejectsMalformedLines)
     EXPECT_FALSE(ResultRecord::decode("v1 workload=x", r)); // missing
     std::string full = sampleRecord().encode();
     EXPECT_FALSE(ResultRecord::decode(full + " extra=1", r));
+
+    // A corrupt field must not decode into an out-of-range enum or a
+    // wrapped count: the cache treats the line as a miss.
+    const struct
+    {
+        const char *good;
+        const char *bad;
+    } kCorrupt[] = {
+        {" model=1 ", " model=7 "},
+        {" policy=3 ", " policy=9 "},
+        {" cycles=123456789 ", " cycles=-1 "},
+    };
+    for (const auto &c : kCorrupt) {
+        std::string line = full;
+        const std::size_t at = line.find(c.good);
+        ASSERT_NE(at, std::string::npos) << c.good;
+        line.replace(at, std::string(c.good).size(), c.bad);
+        EXPECT_FALSE(ResultRecord::decode(line, r)) << line;
+    }
+}
+
+TEST(ResultRecordTest, EveryTinySweepRecordDecodesToItself)
+{
+    for (const char *name : {"bfs-cage", "amr-combustion", "join-gaussian"}) {
+        auto w = createWorkload(name);
+        w->setup(Scale::Tiny, 1);
+        for (DynParModel m : {DynParModel::CDP, DynParModel::DTBL}) {
+            for (TbPolicy p : {TbPolicy::RR, TbPolicy::TbPri,
+                               TbPolicy::SmxBind, TbPolicy::AdaptiveBind}) {
+                GpuConfig cfg = paperConfig();
+                cfg.dynParModel = m;
+                cfg.tbPolicy = p;
+                const std::string line =
+                    runOneRecord(*w, cfg, "").encode();
+                ResultRecord back;
+                ASSERT_TRUE(ResultRecord::decode(line, back)) << line;
+                EXPECT_EQ(back.encode(), line);
+            }
+        }
+    }
 }
 
 TEST(ResultCacheTest, ContentKeyIsStableAndSensitive)
@@ -211,6 +252,8 @@ TEST(ResultCacheTest, SweepTsvRoundTrip)
 
     std::vector<RunResult> bad;
     EXPECT_FALSE(decodeSweepTsv("not a sweep\n", bad));
+    EXPECT_FALSE(decodeSweepTsv("bfs-cage 7 0 1 1 1 1 1 1 1 1 1\n", bad));
+    EXPECT_FALSE(decodeSweepTsv("bfs-cage 0 9 1 1 1 1 1 1 1 1 1\n", bad));
 }
 
 TEST(ResultCacheTest, SweepTsvExtendsOnlyForNonDefaultPresets)

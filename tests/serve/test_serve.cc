@@ -134,10 +134,14 @@ TEST(ServeProtocol, U64RejectsNonIntegers)
     JsonObject obj;
     std::string err;
     ASSERT_TRUE(parseJsonObject(
-        R"({"neg":-1,"frac":1.5,"exp":1e3,"str":"7","ok":7})", obj, err))
+        R"({"neg":-1,"frac":1.5,"exp":1e3,"str":"7","ok":7,)"
+        R"("big":18446744073709551616,"plus":+5})",
+        obj, err))
         << err;
     std::uint64_t v = 0;
     EXPECT_FALSE(getU64(obj, "neg", v));
+    EXPECT_FALSE(getU64(obj, "big", v)); // 2^64: must not alias 2^64-1
+    EXPECT_FALSE(getU64(obj, "plus", v));
     EXPECT_FALSE(getU64(obj, "frac", v));
     EXPECT_FALSE(getU64(obj, "exp", v));
     EXPECT_FALSE(getU64(obj, "str", v));
@@ -148,11 +152,16 @@ TEST(ServeProtocol, U64RejectsNonIntegers)
 
 TEST(ServeProtocol, EscapeRoundTrips)
 {
-    const std::string raw = "line1\nline2\t\"quoted\" \\slash\\";
+    std::string raw;
+    for (int b = 0; b < 256; ++b)
+        raw += static_cast<char>(b);
+    const std::string escaped = jsonEscape(raw);
+    // Valid JSON carries no raw control bytes inside a string.
+    for (const char c : escaped)
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20) << int(c);
     JsonObject obj;
     std::string err;
-    ASSERT_TRUE(parseJsonObject("{\"s\":\"" + jsonEscape(raw) + "\"}",
-                                obj, err))
+    ASSERT_TRUE(parseJsonObject("{\"s\":\"" + escaped + "\"}", obj, err))
         << err;
     std::string back;
     ASSERT_TRUE(getString(obj, "s", back));

@@ -74,11 +74,11 @@ TEST(Endpoint, ParsesSchemesAndBarePaths)
     EXPECT_EQ(ep.port, 9000);
     EXPECT_EQ(ep.toString(), "tcp:127.0.0.1:9000");
 
-    // A bare string keeps the pre-cluster --socket semantics.
-    ASSERT_TRUE(parseEndpoint("laperm_served.sock", ep, err)) << err;
-    EXPECT_EQ(ep.kind, Endpoint::Kind::Unix);
-    EXPECT_EQ(ep.path, "laperm_served.sock");
+    // A bare path has no scheme and is rejected like any other.
+    EXPECT_FALSE(parseEndpoint("laperm_served.sock", ep, err));
+    EXPECT_NE(err.find("unknown scheme"), std::string::npos) << err;
 
+    ASSERT_TRUE(parseEndpoint("unix:laperm_served.sock", ep, err)) << err;
     EXPECT_EQ(ep, Endpoint::unixAt("laperm_served.sock"));
     EXPECT_EQ(Endpoint::tcpAt("localhost", 80).toString(),
               "tcp:localhost:80");

@@ -111,6 +111,31 @@ TEST(TenantSpec, RejectsStructuralErrors)
     EXPECT_NE(err.find("no workload"), std::string::npos) << err;
 }
 
+TEST(TenantSpec, RejectsOutOfRangeAndMalformedValues)
+{
+    // Each line is appended to an otherwise valid single-tenant spec.
+    const char *kBase = "[tenant.a]\nworkload = \"bfs-citation\"\n"
+                        "period = 100\n";
+    const struct
+    {
+        const char *line;
+        const char *why;
+    } kBad[] = {
+        {"jobs = -1\n", "negative count wraps to 4294967295"},
+        {"jobs = 4294967297\n", "32-bit overflow truncates to 1"},
+        {"arrival = 18446744073709551616\n", "64-bit overflow saturates"},
+        {"[mix]\nname = \"duo\n", "unterminated quote"},
+        {"[mix]\nquantum = 10\nquantum = 20\n", "duplicate key"},
+    };
+    for (const auto &bad : kBad) {
+        MixSpec mix;
+        std::string err;
+        EXPECT_FALSE(parseMixToml(std::string(kBase) + bad.line, mix, err))
+            << bad.why;
+        EXPECT_NE(err.find("line "), std::string::npos) << bad.why;
+    }
+}
+
 TEST(TenantSpec, OutputUntouchedOnError)
 {
     MixSpec mix;
