@@ -9,13 +9,16 @@
 #   3. submit the same simulation directly (laperm_sim --csv), cold
 #      through the cluster, and again cached — all three must be
 #      byte-identical
-#   4. kill -9 every worker; the supervisor respawns them with empty
+#   4. submit four distinct cold runs concurrently: each must match its
+#      direct run, and both workers must have executed some of them
+#      (the balancer spills off a busy home worker)
+#   5. kill -9 every worker; the supervisor respawns them with empty
 #      in-memory tiers, so a resubmit must be served from the shared
 #      disk tier: --stats must report cache_shared_hits > 0 (and the
 #      payload must still byte-match the direct run)
-#   5. protocol shutdown; the supervisor and its workers exit cleanly
+#   6. protocol shutdown; the supervisor and its workers exit cleanly
 #
-# Step 4 is the tier distinction that only a process restart can
+# Step 5 is the tier distinction that only a process restart can
 # exercise: a warm worker answers from memory (cache_mem_hits), so the
 # shared-tier counter stays zero until a worker that did NOT execute
 # the run serves its bytes off disk. All workers are killed — a
@@ -54,6 +57,7 @@ trap cleanup EXIT
 # Derive one from the pid and retry a few candidates in case it is
 # taken; readiness doubles as the bind check.
 EP=
+PORT=
 for attempt in 0 1 2 3 4; do
     port=$((21000 + ($$ + attempt * 131) % 20000))
     candidate="tcp:127.0.0.1:$port"
@@ -73,6 +77,7 @@ for attempt in 0 1 2 3 4; do
     done
     if [ "$ready" -eq 1 ]; then
         EP="$candidate"
+        PORT=$port
         break
     fi
     kill "$DAEMON_PID" 2>/dev/null || true
@@ -95,6 +100,41 @@ req=(--workload bfs-cage --scale tiny --seed 1)
 cmp "$WORK/direct.csv" "$WORK/cold.csv"
 cmp "$WORK/direct.csv" "$WORK/cached.csv"
 echo "cluster_smoke: direct/cold/cached outputs byte-identical"
+
+# Spill across real processes: four distinct cold runs at once. The
+# balancer keeps at most ceil((outstanding + 1) / 2) runs per worker,
+# so they cannot all queue on one worker. Each runs for hundreds of
+# milliseconds at scale small, so they overlap even when process start
+# is slow. Every payload must still match its direct run, and each
+# worker (on PORT+1 and PORT+2) must have executed part of the batch.
+worker_executed() {
+    "$SUBMIT" --connect "tcp:127.0.0.1:$((PORT + 1 + $1))" --stats |
+        awk '$1 == "executed" {print $2}'
+}
+before=("$(worker_executed 0)" "$(worker_executed 1)")
+spill_pids=()
+for seed in 11 12 13 14; do
+    "$SUBMIT" --connect "$EP" --workload join-uniform --scale small \
+        --seed "$seed" >"$WORK/spill_$seed.csv" &
+    spill_pids+=($!)
+done
+for pid in "${spill_pids[@]}"; do
+    wait "$pid"
+done
+for i in 0 1; do
+    after=$(worker_executed "$i")
+    if [ "$after" -le "${before[$i]}" ]; then
+        echo "cluster_smoke: worker $i executed none of the concurrent" \
+            "runs (executed ${before[$i]} -> $after)" >&2
+        exit 1
+    fi
+done
+for seed in 11 12 13 14; do
+    "$SIM" --workload join-uniform --scale small --seed "$seed" --csv \
+        >"$WORK/spill_direct_$seed.csv"
+    cmp "$WORK/spill_direct_$seed.csv" "$WORK/spill_$seed.csv"
+done
+echo "cluster_smoke: concurrent cold runs byte-identical on both workers"
 
 # Kill every worker (the supervisor logs "worker <i> pid <pid>" for
 # each spawn); respawned workers come back with empty memory tiers.

@@ -15,7 +15,9 @@
 #
 # Serving rules: the serving binaries and every protocol verb declared
 # in src/serve/service/protocol.hh must be documented (README.md or
-# DESIGN.md).
+# DESIGN.md), and every field the cluster balancer appends to the
+# `stats` response (src/serve/cluster/balancer.cc) must be documented
+# (backticked) in DESIGN.md.
 #
 # sim-lint rules: every lint rule the analyzer can emit (ruleName() in
 # src/tools/sim_lint.cc) must be documented in DESIGN.md, every rule
@@ -102,6 +104,15 @@ verbs=$(grep -oE 'kVerb[A-Za-z]+ = "[a-z]+"' src/serve/service/protocol.hh |
 for v in $verbs; do
     if ! grep -q "\"op\":\"$v\"" DESIGN.md; then
         err "protocol verb '$v' is not documented in DESIGN.md"
+    fi
+done
+
+balancer_stats=$(grep -oE '\\"[a-z_]+\\":%llu' src/serve/cluster/balancer.cc |
+    sed -E 's/\\"([a-z_]+)\\".*/\1/' | sort -u)
+[ -n "$balancer_stats" ] || err "could not extract balancer stats fields"
+for f in $balancer_stats; do
+    if ! grep -q "\`$f\`" DESIGN.md; then
+        err "balancer stats field '$f' is not documented (backticked) in DESIGN.md"
     fi
 done
 
@@ -257,6 +268,7 @@ fi
 echo "docs-check: OK ($(echo "$bench_targets" | wc -l) bench targets, \
 $(echo "$example_targets" | wc -l) examples, \
 $(echo "$verbs" | wc -l) protocol verbs, \
+$(echo "$balancer_stats" | wc -l) balancer stats fields, \
 $(echo "$doc_flags" | grep -c -- --) documented flags, \
 $(echo "$lint_rules" | wc -l) sim-lint rules, \
 $(echo "$presets" | wc -l) presets, \

@@ -2,8 +2,10 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 #include "common/log.hh"
+#include "common/text.hh"
 #include "harness/experiment.hh"
 #include "harness/result_cache.hh"
 #include "harness/thread_pool.hh"
@@ -19,6 +21,9 @@ constexpr TbPolicy kPolicies[] = {TbPolicy::RR, TbPolicy::TbPri,
                                   TbPolicy::SmxBind,
                                   TbPolicy::AdaptiveBind};
 constexpr std::size_t kNumPolicies = std::size(kPolicies);
+/** Largest policy index a cache row may name. */
+constexpr std::uint64_t kMaxPolicy =
+    static_cast<std::uint64_t>(TbPolicy::AdaptiveBind);
 
 std::vector<TenantSweepRow>
 cellRows(const std::string &mix_name, const std::string &preset,
@@ -111,15 +116,37 @@ decodeTenantSweepTsv(const std::string &tsv,
         if (line.empty() || line[0] == '#')
             continue;
         std::istringstream ls(line);
-        TenantSweepRow r;
-        int pi;
-        if (!(ls >> r.mix >> r.preset >> pi >> r.tenant >> r.tenantId >>
-              r.jobs >> r.antt >> r.p50 >> r.p95 >> r.p99 >>
-              r.retiredTbs >> r.mixAntt >> r.mixStp >> r.mixJain >>
-              r.makespan)) {
+        std::vector<std::string> f;
+        for (std::string tok; ls >> tok;)
+            f.push_back(std::move(tok));
+        if (f.size() != 15)
             return false;
+        TenantSweepRow r;
+        r.mix = f[0];
+        r.preset = f[1];
+        r.tenant = f[3];
+        std::uint64_t policy = 0, tenantId = 0, jobs = 0;
+        if (!parseUInt(f[2], kMaxPolicy, policy) ||
+            !parseUInt(f[4], UINT32_MAX, tenantId) ||
+            !parseUInt(f[5], UINT32_MAX, jobs))
+            return false;
+        r.policy = static_cast<TbPolicy>(policy);
+        r.tenantId = static_cast<std::uint32_t>(tenantId);
+        r.jobs = static_cast<std::uint32_t>(jobs);
+        const std::pair<std::size_t, std::uint64_t *> counts[] = {
+            {7, &r.p50}, {8, &r.p95}, {9, &r.p99}, {10, &r.retiredTbs},
+            {14, &r.makespan}};
+        for (const auto &[i, v] : counts) {
+            if (!parseUInt(f[i], UINT64_MAX, *v))
+                return false;
         }
-        r.policy = static_cast<TbPolicy>(pi);
+        const std::pair<std::size_t, double *> ratios[] = {
+            {6, &r.antt}, {11, &r.mixAntt}, {12, &r.mixStp},
+            {13, &r.mixJain}};
+        for (const auto &[i, v] : ratios) {
+            if (!parseFiniteDouble(f[i], *v))
+                return false;
+        }
         rows.push_back(std::move(r));
     }
     out = std::move(rows);

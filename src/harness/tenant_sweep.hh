@@ -48,7 +48,11 @@ struct TenantSweepRow
 /** Serialize rows (header comment + one row per tenant, %.17g doubles). */
 std::string encodeTenantSweepTsv(const std::vector<TenantSweepRow> &rows);
 
-/** Parse encodeTenantSweepTsv output; false on a malformed row. */
+/**
+ * Parse encodeTenantSweepTsv output. False on a malformed row: a field
+ * count other than 15, an unknown policy index, a count that is not an
+ * in-range unsigned integer, or a ratio that is not a finite double.
+ */
 bool decodeTenantSweepTsv(const std::string &tsv,
                           std::vector<TenantSweepRow> &out);
 

@@ -31,7 +31,8 @@ constexpr std::size_t kNumStatFields =
 } // namespace
 
 BalancerHandler::BalancerHandler(BalancerOptions opts)
-    : opts_(std::move(opts)), ring_(opts_.workers.size())
+    : opts_(std::move(opts)), ring_(opts_.workers.size()),
+      outstanding_(opts_.workers.size(), 0)
 {
     for (const Endpoint &ep : opts_.workers) {
         auto w = std::make_unique<Worker>();
@@ -44,10 +45,20 @@ BalancerHandler::~BalancerHandler() = default;
 
 bool
 BalancerHandler::callWorker(std::size_t idx, const std::string &line,
-                            std::string &response)
+                            std::string &response,
+                            std::atomic<std::uint64_t> *linkWaitUs)
 {
     Worker &w = *workers_[idx];
+    const auto waitStart = std::chrono::steady_clock::now();
     std::lock_guard<std::mutex> lock(w.mu);
+    if (linkWaitUs) {
+        linkWaitUs->fetch_add(
+            static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    std::chrono::steady_clock::now() - waitStart)
+                    .count()),
+            std::memory_order_relaxed);
+    }
     for (unsigned attempt = 0; attempt <= opts_.connectRetries;
          ++attempt) {
         if (attempt > 0) {
@@ -62,6 +73,7 @@ BalancerHandler::callWorker(std::size_t idx, const std::string &line,
         }
         if (w.conn->writeAll(line + "\n") &&
             w.conn->readLine(response)) {
+            w.reachable = true;
             return true;
         }
         // Dead link (worker killed mid-request): drop it and retry on
@@ -69,16 +81,61 @@ BalancerHandler::callWorker(std::size_t idx, const std::string &line,
         // (content-keyed, cache-backed).
         w.conn.reset();
     }
+    w.reachable = false;
     return false;
+}
+
+std::size_t
+BalancerHandler::route(const std::string &key)
+{
+    std::lock_guard<std::mutex> lock(routeMu_);
+    auto [it, fresh] = inFlight_.try_emplace(key);
+    if (fresh) {
+        // ceil((total + 1) / N) always admits some worker: N workers
+        // all at or above it would hold more runs than are outstanding.
+        // A run never spills onto a worker whose last call failed; with
+        // no other taker it queues at home.
+        const std::size_t n = workers_.size();
+        const std::size_t bound = (totalOutstanding_ + n) / n;
+        const std::vector<std::size_t> order = ring_.preference(key);
+        std::size_t idx = order.front();
+        for (std::size_t w : order) {
+            if (outstanding_[w] < bound &&
+                (w == order.front() || workers_[w]->reachable)) {
+                idx = w;
+                break;
+            }
+        }
+        if (idx != order.front())
+            routedSpill_.fetch_add(1, std::memory_order_relaxed);
+        it->second.worker = idx;
+    }
+    ++it->second.refs;
+    ++outstanding_[it->second.worker];
+    ++totalOutstanding_;
+    return it->second.worker;
+}
+
+void
+BalancerHandler::release(const std::string &key, std::size_t idx)
+{
+    std::lock_guard<std::mutex> lock(routeMu_);
+    --outstanding_[idx];
+    --totalOutstanding_;
+    const auto it = inFlight_.find(key);
+    if (--it->second.refs == 0)
+        inFlight_.erase(it);
 }
 
 std::string
 BalancerHandler::handleRun(const std::string &line,
                            const std::string &key)
 {
-    const std::size_t idx = ring_.workerFor(key);
+    const std::size_t idx = route(key);
     std::string response;
-    if (callWorker(idx, line, response))
+    const bool ok = callWorker(idx, line, response, &linkWaitUs_);
+    release(key, idx);
+    if (ok)
         return response;
     // Worker unreachable past the respawn budget: shed with a longer
     // hint than worker admission shedding uses, since recovery here
@@ -126,9 +183,12 @@ BalancerHandler::handleStats()
         out += logFormat(",\"%s\":%llu", kStatFields[f],
                          static_cast<unsigned long long>(sums[f]));
     }
-    out += logFormat(",\"workers\":%llu",
-                     static_cast<unsigned long long>(reachable));
-    out += "}";
+    out += logFormat(
+        ",\"workers\":%llu,\"routed_spill\":%llu,"
+        "\"link_wait_us\":%llu}",
+        static_cast<unsigned long long>(reachable),
+        static_cast<unsigned long long>(routedSpill_.load()),
+        static_cast<unsigned long long>(linkWaitUs_.load()));
     return out;
 }
 

@@ -3,16 +3,15 @@
  * Consistent-hash ring for cluster request routing (DESIGN.md §15.4).
  * Each worker owns `vnodes` points on a 64-bit ring (fnv1a64 over
  * "worker-<i>/vnode-<j>"); a request's 128-bit content key hashes to a
- * point and is served by the next worker point clockwise.
+ * point, and the next worker point clockwise is the key's home.
  *
- * Why consistent hashing instead of round-robin: the routing contract
- * is that ONE worker owns each content key, so the worker-level
- * single-flight map (serve/service) deduplicates identical in-flight
- * requests cluster-wide — two clients submitting the same cold request
- * to different balancer connections still share one simulation. And
- * when the worker count changes, only ~1/N of the key space moves, so
- * a resized cluster keeps most of each worker's in-memory cache tier
- * warm.
+ * Why consistent hashing instead of round-robin: each content key has
+ * ONE home worker, so repeats of a key find its result in that
+ * worker's in-memory cache tier, and when the worker count changes
+ * only ~1/N of the key space moves, so a resized cluster keeps most of
+ * each worker's memory tier warm. The balancer prefers the home but
+ * spills a new key to the next worker of preference() when the home is
+ * busy (bounded loads, DESIGN.md §15.4).
  *
  * Deterministic by construction (no RNG, no wall clock): the same key
  * routes to the same worker index in every process, which the cluster
@@ -58,6 +57,7 @@ class HashRing
 
   public:
     explicit HashRing(std::size_t workers, unsigned vnodes = 64)
+        : workers_(workers)
     {
         ring_.reserve(workers * vnodes);
         for (std::size_t w = 0; w < workers; ++w) {
@@ -84,9 +84,39 @@ class HashRing
         return it->second;
     }
 
+    /**
+     * Every worker once, in the order a clockwise walk from @p key's
+     * ring point first meets it: element 0 is workerFor(key), element
+     * 1 the worker the key would move to if its owner left the ring,
+     * and so on. The balancer's bounded-load routing walks this list.
+     */
+    std::vector<std::size_t> preference(const std::string &key) const
+    {
+        const std::uint64_t h = mix64(fnv1a64(key, kFnvBasis));
+        const std::size_t start = static_cast<std::size_t>(
+            std::upper_bound(ring_.begin(), ring_.end(),
+                             std::make_pair(h, std::size_t(0)),
+                             [](const auto &a, const auto &b) {
+                                 return a.first < b.first;
+                             }) -
+            ring_.begin());
+        std::vector<std::size_t> order;
+        std::vector<bool> seen(workers_, false);
+        for (std::size_t i = 0;
+             i < ring_.size() && order.size() < workers_; ++i) {
+            const std::size_t w = ring_[(start + i) % ring_.size()].second;
+            if (!seen[w]) {
+                seen[w] = true;
+                order.push_back(w);
+            }
+        }
+        return order;
+    }
+
     std::size_t points() const { return ring_.size(); }
 
   private:
+    std::size_t workers_;
     std::vector<std::pair<std::uint64_t, std::size_t>> ring_;
 };
 

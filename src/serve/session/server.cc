@@ -2,6 +2,8 @@
 
 #include <chrono>
 
+#include "common/log.hh"
+
 namespace laperm {
 namespace serve {
 
@@ -140,6 +142,14 @@ Server::handleConnection(Connection &conn,
         const std::string response = handler_.handleLine(line);
         if (!conn.writeAll(response + "\n"))
             break;
+    }
+    if (conn.oversized()) {
+        // The peer would otherwise see a bare close; tell it why in
+        // the protocol's error shape, then close.
+        conn.writeAll(logFormat("{\"status\":\"error\",\"message\":"
+                                "\"frame exceeds %zu bytes\"}\n",
+                                kMaxFrameBytes));
+        conn.shutdownBoth();
     }
     // Only the flag is touched here: the node (and with it the socket)
     // is destroyed by the reaper after this thread has been joined.

@@ -5,7 +5,8 @@
  * frames off a transport Connection and answering through a
  * LineHandler. Transport-agnostic — the same Server speaks UDS and TCP
  * because listenOn() hides the difference — and service-agnostic: the
- * handler decides what the bytes mean.
+ * handler decides what the bytes mean. A frame over kMaxFrameBytes is
+ * answered with one structured error line, then the connection closes.
  *
  * Connection-thread lifecycle: a finished connection parks its thread
  * handle on a reap list that the accept loop drains before every

@@ -254,7 +254,7 @@ Connection::readLine(std::string &line)
             oversized_ = true;
             carry_.clear();
             carry_.shrink_to_fit();
-            shutdownBoth();
+            ::shutdown(fd_, SHUT_RD);
             return false;
         }
         // Drop consumed frames once per receive rather than per frame,

@@ -65,10 +65,14 @@ class Connection
      * Read one '\n'-terminated frame into @p line (terminator
      * stripped). Bytes past the frame stay buffered for the next
      * call. False on EOF/error with no complete frame buffered, and
-     * when a frame exceeds kMaxFrameBytes: the connection is then shut
-     * down in both directions and every later read fails.
+     * when a frame exceeds kMaxFrameBytes: the read side is then shut
+     * down, every later read fails, and oversized() turns true. The
+     * write side stays open so the caller can answer before closing.
      */
     bool readLine(std::string &line);
+
+    /** True once readLine refused a frame over kMaxFrameBytes. */
+    bool oversized() const { return oversized_; }
 
     /** Bound the time a read may block (0 = no timeout). */
     bool setRecvTimeout(std::uint64_t ms);

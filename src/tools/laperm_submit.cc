@@ -212,11 +212,13 @@ runStats(Client &client)
         std::printf("%s\t%llu\n", name,
                     static_cast<unsigned long long>(v));
     }
-    // Cluster balancers append a worker count; single daemons do not.
-    std::uint64_t workers = 0;
-    if (getU64(response, "workers", workers)) {
-        std::printf("workers\t%llu\n",
-                    static_cast<unsigned long long>(workers));
+    // Cluster balancers append their own fields; single daemons do not.
+    for (const char *name : {"workers", "routed_spill", "link_wait_us"}) {
+        std::uint64_t v = 0;
+        if (getU64(response, name, v)) {
+            std::printf("%s\t%llu\n", name,
+                        static_cast<unsigned long long>(v));
+        }
     }
     return 0;
 }

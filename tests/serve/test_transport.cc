@@ -2,9 +2,10 @@
  * @file
  * Transport-layer tests (DESIGN.md §15.1): endpoint parsing, UDS and
  * TCP round trips through listenOn/connectTo, framing across partial
- * reads, pipelined batches and the frame-size cap, ephemeral-port
- * reporting, stale-socket recovery, and the wake() contract the
- * session layer's shutdown path relies on.
+ * reads, pipelined batches and the frame-size cap (with the session's
+ * structured error line), ephemeral-port reporting, stale-socket
+ * recovery, and the wake() contract the session layer's shutdown path
+ * relies on.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "serve/session/server.hh"
 #include "serve/transport/transport.hh"
 
 using namespace laperm;
@@ -184,15 +186,24 @@ TEST(Transport, PipelinedLinesArriveInOrder)
 
 TEST(Transport, OversizedFrameClosesTheConnection)
 {
-    const Endpoint ep = Endpoint::unixAt(sockPath("oversized.sock"));
+    // Served by a session Server, which answers a refused frame with
+    // one structured error line before closing.
+    struct Echo : LineHandler
+    {
+        std::string handleLine(const std::string &line) override
+        {
+            return line;
+        }
+    } echo;
+    SessionOptions sopts;
+    sopts.endpoint = Endpoint::unixAt(sockPath("oversized.sock"));
+    Server server(sopts, echo);
     std::string err;
-    auto listener = listenOn(ep, 4, err);
-    ASSERT_NE(listener, nullptr) << err;
+    ASSERT_TRUE(server.start(err)) << err;
 
     // A peer that streams twice the cap and never sends a newline.
-    std::string err2;
-    auto client = connectTo(ep, err2);
-    ASSERT_NE(client, nullptr) << err2;
+    auto client = connectTo(sopts.endpoint, err);
+    ASSERT_NE(client, nullptr) << err;
     bool sentAll = true;
     std::thread clientSide([&] {
         const std::string chunk(1 << 16, 'x');
@@ -205,15 +216,21 @@ TEST(Transport, OversizedFrameClosesTheConnection)
         if (sentAll)
             ::shutdown(client->fd(), SHUT_WR);
     });
-    auto conn = listener->accept();
-    ASSERT_NE(conn, nullptr);
-    std::string line;
-    EXPECT_FALSE(conn->readLine(line));
     clientSide.join();
-    // The reader stopped at the cap and closed: the rest of the stream
-    // was refused, and the connection stays failed.
+    // The reader stopped at the cap: the rest of the stream was
+    // refused.
     EXPECT_FALSE(sentAll);
-    EXPECT_FALSE(conn->readLine(line));
+
+    // One error line in the protocol's shape, then EOF.
+    std::string expected =
+        "{\"status\":\"error\",\"message\":\"frame exceeds ";
+    expected += std::to_string(kMaxFrameBytes);
+    expected += " bytes\"}";
+    std::string line;
+    ASSERT_TRUE(client->readLine(line));
+    EXPECT_EQ(line, expected);
+    EXPECT_FALSE(client->readLine(line));
+    server.stop();
 }
 
 TEST(Transport, StaleUnixSocketFileIsRecovered)

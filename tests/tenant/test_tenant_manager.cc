@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "harness/tenant_sweep.hh"
 #include "tenant/mixes.hh"
 #include "tenant/tenant_manager.hh"
@@ -168,4 +172,27 @@ TEST(TenantSweepTsv, RoundTripsExactly)
 
     std::vector<TenantSweepRow> bad;
     EXPECT_FALSE(decodeTenantSweepTsv("duo k20c not-a-policy\n", bad));
+
+    // Corrupt rows built from the good one by replacing one field (or
+    // appending a token) must be rejected, not decoded into garbage.
+    const std::string row = tsv.substr(tsv.find('\n') + 1);
+    auto withField = [&](std::size_t index, const std::string &value) {
+        std::istringstream in(row);
+        std::vector<std::string> f;
+        for (std::string tok; in >> tok;)
+            f.push_back(tok);
+        f.at(index) = value;
+        std::string out;
+        for (const std::string &tok : f)
+            out += (out.empty() ? "" : " ") + tok;
+        return out + "\n";
+    };
+    const std::string corrupt[] = {
+        withField(7, "-5"),            // p50 would wrap to 2^64 - 5
+        withField(6, "nan"),           // non-finite ANTT
+        withField(2, "4"),             // policy index past AdaptiveBind
+        withField(14, "99999 extra"),  // trailing token
+    };
+    for (const std::string &line : corrupt)
+        EXPECT_FALSE(decodeTenantSweepTsv(line, bad)) << line;
 }
