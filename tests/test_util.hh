@@ -7,6 +7,7 @@
 #ifndef LAPERM_TESTS_TEST_UTIL_HH
 #define LAPERM_TESTS_TEST_UTIL_HH
 
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -79,6 +80,37 @@ class DispatchRecorder
     }
 
     std::vector<DispatchRecord> records;
+};
+
+/** Set (or unset, with nullptr) an env var for one scope. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *prev = std::getenv(name)) {
+            had_ = true;
+            prev_ = prev;
+        }
+        if (value)
+            ::setenv(name, value, 1);
+        else
+            ::unsetenv(name);
+    }
+    ~ScopedEnv()
+    {
+        if (had_)
+            ::setenv(name_, prev_.c_str(), 1);
+        else
+            ::unsetenv(name_);
+    }
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    const char *name_;
+    bool had_ = false;
+    std::string prev_;
 };
 
 } // namespace laperm::test
