@@ -4,8 +4,8 @@
 # curated clang-tidy profile in .clang-tidy. Exits nonzero on any
 # finding.
 #
-# sim-lint runs all four passes (token, layering, cycle-safety,
-# event-discipline) with per-pass timing, fails fast before the tidy
+# sim-lint runs all three passes (token, layering, cycle-safety) with
+# per-pass timing, fails fast before the tidy
 # stage, and leaves a SARIF artifact at $BUILD_DIR/sim_lint.sarif for
 # CI annotation upload.
 #

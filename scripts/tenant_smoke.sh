@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Multi-tenant determinism gate (DESIGN.md §14): the tenant decision
 # loop only drives the device between slices, so its artifacts must be
-# byte-identical across tick modes AND across harness parallelism.
+# byte-identical across harness parallelism, and the CLI must agree
+# with the sweep harness.
 #
-#   1. laperm_sim --tenants duo, dense vs event: stdout and the
-#      --tenants-tsv artifact byte-compare.
-#   2. bench_multitenant, LAPERM_JOBS=1/event vs LAPERM_JOBS=8/dense:
+#   1. bench_multitenant, LAPERM_JOBS=1 vs LAPERM_JOBS=8:
 #      BENCH_multitenant.json and the sweep cache TSVs byte-compare.
+#   2. laperm_sim --tenants duo: every row of its --tenants-tsv
+#      artifact appears verbatim in the sweep's duo cache TSV.
 #
 # Usage: scripts/tenant_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -24,44 +25,28 @@ done
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
-unset LAPERM_TICK_MODE
-export LAPERM_NO_CACHE=1
-
-# -- 1. CLI front end: dense vs event -------------------------------
-for mode in dense event; do
-    mkdir -p "$TMP/$mode"
-    "$SIM" --tenants duo --tick-mode "$mode" \
-        --tenants-tsv "$TMP/$mode/duo.tsv" >"$TMP/$mode/stdout.txt"
-done
 fail=0
-for f in stdout.txt duo.tsv; do
-    if ! cmp -s "$TMP/dense/$f" "$TMP/event/$f"; then
-        echo "tenant_smoke.sh: $f diverges between tick modes" >&2
-        fail=1
-    fi
-done
 
-# -- 2. Bench: serial/event vs parallel/dense, cold caches ----------
+# -- 1. Bench: serial vs parallel, cold caches ----------------------
 # The bench walks the full mix x policy x preset grid; restrict it to
 # one small mix and one preset so the gate stays fast.
 unset LAPERM_NO_CACHE
 export LAPERM_TENANT_MIXES=duo
 export LAPERM_TENANT_PRESETS=k20c
-run_bench() { # jobs tick-mode outdir
-    local out="$TMP/$3"
+run_bench() { # jobs outdir
+    local out="$TMP/$2"
     mkdir -p "$out"
     (cd "$out" &&
-        LAPERM_JOBS="$1" LAPERM_TICK_MODE="$2" \
-            LAPERM_CACHE_DIR="$out/cache" \
+        LAPERM_JOBS="$1" LAPERM_CACHE_DIR="$out/cache" \
             "$OLDPWD/$BENCH" >bench_stdout.txt)
 }
-run_bench 1 event bench-a
-run_bench 8 dense bench-b
+run_bench 1 bench-a
+run_bench 8 bench-b
 
 if ! cmp -s "$TMP/bench-a/BENCH_multitenant.json" \
     "$TMP/bench-b/BENCH_multitenant.json"; then
     echo "tenant_smoke.sh: BENCH_multitenant.json differs between" \
-        "LAPERM_JOBS=1/event and LAPERM_JOBS=8/dense" >&2
+        "LAPERM_JOBS=1 and LAPERM_JOBS=8" >&2
     fail=1
 fi
 for a in "$TMP/bench-a/cache"/laperm_tenants_*.tsv; do
@@ -71,7 +56,19 @@ for a in "$TMP/bench-a/cache"/laperm_tenants_*.tsv; do
         fail=1
     fi
 done
+
+# -- 2. CLI front end: its rows are the sweep's rows ----------------
+# bench_multitenant sweeps seed 1, the CLI's default seed.
+LAPERM_NO_CACHE=1 "$SIM" --tenants duo \
+    --tenants-tsv "$TMP/cli_duo.tsv" >"$TMP/cli_stdout.txt"
+sweep_tsv="$TMP/bench-a/cache/laperm_tenants_duo_k20c_1.tsv"
+if [ ! -f "$sweep_tsv" ] || ! grep -q '^duo ' "$TMP/cli_duo.tsv" ||
+    grep -v '^#' "$TMP/cli_duo.tsv" | grep -vqFx -f "$sweep_tsv"; then
+    echo "tenant_smoke.sh: laperm_sim --tenants duo rows missing" \
+        "from $(basename "$sweep_tsv")" >&2
+    fail=1
+fi
 [ "$fail" -eq 0 ] || exit 1
 
 echo "tenant_smoke.sh: multi-tenant artifacts byte-identical across" \
-    "tick modes and LAPERM_JOBS"
+    "LAPERM_JOBS; CLI rows match the sweep"

@@ -5,14 +5,12 @@
 #   docs-check   scripts/docs_check.sh (docs <-> binaries/flags in sync)
 #   build-werror strict warning set promoted to errors (LAPERM_WERROR)
 #   ctest        Release build + full test suite
-#   tick-diff    scripts/tick_diff.sh (dense/event artifacts identical,
-#                DESIGN.md §11)
 #   serve-smoke  scripts/serve_smoke.sh (daemon end-to-end, DESIGN.md §10)
 #   cluster-smoke scripts/cluster_smoke.sh (2-worker TCP cluster:
 #                routing, worker respawn, shared cache tier,
 #                DESIGN.md §15)
 #   tenant-smoke scripts/tenant_smoke.sh (multi-tenant determinism
-#                across tick modes and LAPERM_JOBS, DESIGN.md §14)
+#                across LAPERM_JOBS, DESIGN.md §14)
 #   asan-ubsan   full test suite under AddressSanitizer + UBSan
 #   tsan         concurrent-harness smoke under ThreadSanitizer
 #   perfbench    the repository benchmark (perfbench/) still builds
@@ -63,12 +61,6 @@ stage_ctest() {
     cmake -B build -S . -DCMAKE_BUILD_TYPE=Release &&
         cmake --build build -j"$JOBS" &&
         ctest --test-dir build --output-on-failure -j"$JOBS"
-}
-
-stage_tick_diff() {
-    # Reuses the Release tree the ctest stage just built.
-    cmake --build build -j"$JOBS" --target laperm_sim &&
-        scripts/tick_diff.sh build
 }
 
 stage_serve_smoke() {
@@ -126,7 +118,6 @@ run_stage lint stage_lint
 run_stage docs-check stage_docs
 run_stage build-werror stage_werror
 run_stage ctest stage_ctest
-run_stage tick-diff stage_tick_diff
 run_stage serve-smoke stage_serve_smoke
 run_stage cluster-smoke stage_cluster_smoke
 run_stage tenant-smoke stage_tenant_smoke

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 
 #include "common/log.hh"
@@ -32,17 +31,6 @@ paperConfig()
     cfg.l2Size = 1536 * 1024;
     cfg.kduEntries = 32;
     cfg.warpPolicy = WarpPolicy::GTO;
-    // LAPERM_TICK_MODE=dense|event selects the simulation core's
-    // time-advance strategy for every harness run (used by the
-    // differential determinism gate; results are byte-identical).
-    if (const char *tm = std::getenv("LAPERM_TICK_MODE")) {
-        if (!std::strcmp(tm, "dense"))
-            cfg.tickMode = TickMode::Dense;
-        else if (!std::strcmp(tm, "event"))
-            cfg.tickMode = TickMode::Event;
-        else if (*tm)
-            laperm_fatal("bad LAPERM_TICK_MODE '%s'", tm);
-    }
     return cfg;
 }
 
@@ -199,10 +187,7 @@ runMatrixPreset(const std::vector<std::string> &names,
     if (jobs == 0)
         jobs = ThreadPool::defaultJobs();
 
-    // Fatal on an unknown preset before any simulation spends cycles;
-    // the machine geometry below is presetConfig(preset) with the
-    // harness-level tick-mode override layered on top (paperConfig()
-    // handles LAPERM_TICK_MODE; the preset must not undo it).
+    // Fatal on an unknown preset before any simulation spends cycles.
     const GpuConfig base_machine = presetConfig(preset);
 
     // Same early-fatal discipline for the workload axis: an unknown
@@ -267,7 +252,6 @@ runMatrixPreset(const std::vector<std::string> &names,
                         i * cellsPerWorkload + mi * kNumPolicies + pi;
                     pool.submit([&, i, mi, pi, slot] {
                         GpuConfig cfg = base_machine;
-                        cfg.tickMode = paperConfig().tickMode;
                         cfg.dynParModel = kModels[mi];
                         cfg.tbPolicy = kPolicies[pi];
                         cfg.seed = seed;

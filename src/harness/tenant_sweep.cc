@@ -219,7 +219,6 @@ runTenantSweep(const std::vector<std::string> &mixes,
                 pool.submit([&, gi, pi, slot] {
                     const Group &g = groups[gi];
                     GpuConfig cfg = presetConfig(g.preset);
-                    cfg.tickMode = paperConfig().tickMode;
                     cfg.tbPolicy = kPolicies[pi];
                     cfg.seed = seed;
                     tenant::MixStudy study =

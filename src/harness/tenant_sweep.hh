@@ -70,7 +70,7 @@ std::string tenantSweepCachePath(const std::string &mix,
  * all four TB policies (the dynamic-parallelism model stays the device
  * default). Rows come back grouped by (mix, preset) in argument order,
  * then policy in enum order, then tenant id — byte-identical at any
- * worker count and in both tick modes.
+ * worker count.
  *
  * @param use_cache per-(mix, preset) TSV cache, fingerprint-gated like
  *        the single-app sweep; disable with LAPERM_NO_CACHE=1.

@@ -82,16 +82,6 @@ class TbScheduler
      */
     virtual void noteCapacityFreed() {}
 
-    /**
-     * True when a dispatchOne call at cycle @p c would provably return
-     * false with no observable side effect, letting the event loop
-     * elide the visit entirely. Policies whose failed attempts have
-     * visible effects (SMX-Bind cursor rotation, Adaptive-Bind
-     * adoption bookkeeping) must keep the default false so the event
-     * loop keeps replicating every dense-loop visit.
-     */
-    virtual bool visitIsNoop(Cycle) const { return false; }
-
     /** Factory selecting the policy from @p cfg. */
     static std::unique_ptr<TbScheduler> create(const GpuConfig &cfg,
                                                DispatchContext &ctx);

@@ -160,12 +160,10 @@ SimRequest::fromJson(const JsonObject &obj, SimRequest &out,
     // interleave them).
     std::string s;
     if (obj.count("preset")) {
-        const TickMode tick = r.cfg.tickMode;
         if (!getString(obj, "preset", s) || !findPreset(s, r.cfg)) {
             err = "'preset' must be one of: " + presetNameList();
             return false;
         }
-        r.cfg.tickMode = tick; // LAPERM_TICK_MODE override survives
         r.presetName = s;
     }
     if (obj.count("config")) {

@@ -37,16 +37,6 @@ toString(WarpPolicy policy)
     return "?";
 }
 
-const char *
-toString(TickMode mode)
-{
-    switch (mode) {
-      case TickMode::Dense: return "dense";
-      case TickMode::Event: return "event";
-    }
-    return "?";
-}
-
 std::uint32_t
 GpuConfig::effectiveOnchipEntries() const
 {

@@ -52,21 +52,9 @@ enum class BackupPolicy
     Random,   ///< Steal from a random non-empty SMX each time.
 };
 
-/**
- * How the device advances simulated time (DESIGN.md §11). Both modes
- * produce byte-identical statistics and artifacts; Dense is kept as the
- * differential-testing reference for the event-driven hot path.
- */
-enum class TickMode
-{
-    Dense, ///< Reference loop: poll every active component every cycle.
-    Event, ///< Event-driven: skip to the next scheduled wakeup.
-};
-
 const char *toString(DynParModel model);
 const char *toString(TbPolicy policy);
 const char *toString(WarpPolicy policy);
-const char *toString(TickMode mode);
 
 /**
  * Full device configuration. Defaults reproduce Table I.
@@ -156,13 +144,6 @@ struct GpuConfig
 
     /** Deterministic seed forwarded to workload generators. */
     std::uint64_t seed = 1;
-
-    /**
-     * Simulation-core time-advance strategy (DESIGN.md §11). Not part
-     * of the serving-layer request canonicalization: both modes yield
-     * byte-identical results, so the cache key must not split on it.
-     */
-    TickMode tickMode = TickMode::Event;
 
     /** Effective on-chip queue capacity per SMX for the active model. */
     std::uint32_t effectiveOnchipEntries() const;

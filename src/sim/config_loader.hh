@@ -10,9 +10,9 @@
  *    they are exactly what canonicalMachine() covers.
  *
  *  - *run* fields: what a single experiment varies on top of a machine
- *    (dynParModel, tbPolicy, seed) plus the timing-invisible tickMode.
- *    They stay out of the machine canonicalization; the serving layer
- *    keys them separately (serve/sim_request.hh).
+ *    (dynParModel, tbPolicy, seed). They stay out of the machine
+ *    canonicalization; the serving layer keys them separately
+ *    (serve/sim_request.hh).
  *
  * Every machine field is declared once in a key registry (name, doc,
  * checked parser, canonical emitter). The registry drives four

@@ -17,8 +17,7 @@
  *     charged to turnaround, never rescheduled away.
  *
  * Decisions are made only between run slices (every mix quantum), so
- * the engine's byte-identical dense/event tick equivalence is
- * preserved: the manager is a pure driver on top of Gpu::runUntil /
+ * the manager is a pure driver on top of Gpu::runUntil /
  * Gpu::advanceTo plus the obs::TenantTracker counters.
  */
 

@@ -21,8 +21,6 @@
  *     --cdp-latency N   CDP launch latency in cycles
  *     --dtbl-latency N  DTBL launch latency in cycles
  *     --warp-sched W    gto | lrr
- *     --tick-mode T     event | dense (default event; dense is the
- *                       reference loop, byte-identical results)
  *     --csv             one CSV row per run instead of the report
  *                       (non-default machines append a config column)
  *     --list            list workload names and exit
@@ -113,7 +111,7 @@ usage(const char *argv0)
                  "[--smx N] "
                  "[--l1-kb N] [--l2-kb N] [--levels N] "
                  "[--cdp-latency N] [--dtbl-latency N] "
-                 "[--warp-sched gto|lrr] [--tick-mode event|dense] "
+                 "[--warp-sched gto|lrr] "
                  "[--csv] [--list] "
                  "[--trace FILE] [--trace-json FILE] "
                  "[--trace-intervals FILE] [--interval N] "
@@ -214,7 +212,7 @@ report(const Options &opt, const Workload &w, const GpuStats &s)
  * --tenants mode: resolve the mix (builtin name or .toml file), run it
  * with solo baselines on the configured machine, print the per-tenant
  * metrics, and optionally dump the rows as a TSV. Output is a pure
- * function of the simulation, so dense/event runs byte-compare.
+ * function of the simulation, so runs byte-compare.
  */
 int
 runTenants(const Options &opt)
@@ -329,12 +327,8 @@ main(int argc, char **argv)
         } else if (!std::strcmp(a, "--seed")) {
             opt.seed = parseU64(next_arg(i), "--seed");
         } else if (!std::strcmp(a, "--preset")) {
-            // Whole-machine replacement; the tick mode is a simulator
-            // strategy, not machine geometry, so it survives.
-            const TickMode tick = opt.cfg.tickMode;
             opt.preset = next_arg(i);
             opt.cfg = presetConfig(opt.preset);
-            opt.cfg.tickMode = tick;
         } else if (!std::strcmp(a, "--config")) {
             std::string err;
             if (!loadMachineToml(next_arg(i), opt.cfg, err))
@@ -364,14 +358,6 @@ main(int argc, char **argv)
                 opt.cfg.warpPolicy = WarpPolicy::GTO;
             else if (w == "lrr")
                 opt.cfg.warpPolicy = WarpPolicy::LRR;
-            else
-                usage(argv[0]);
-        } else if (!std::strcmp(a, "--tick-mode")) {
-            std::string t = next_arg(i);
-            if (t == "event")
-                opt.cfg.tickMode = TickMode::Event;
-            else if (t == "dense")
-                opt.cfg.tickMode = TickMode::Dense;
             else
                 usage(argv[0]);
         } else if (!std::strcmp(a, "--trace")) {

@@ -333,10 +333,8 @@ main(int argc, char **argv)
         } else if (!std::strcmp(a, "--seed")) {
             req.seed = parse_u64(next_arg(i), "--seed");
         } else if (!std::strcmp(a, "--preset")) {
-            const TickMode tick = req.cfg.tickMode;
             req.presetName = next_arg(i);
             req.cfg = presetConfig(req.presetName.c_str());
-            req.cfg.tickMode = tick;
         } else if (!std::strcmp(a, "--config")) {
             std::string cfg_err;
             if (!loadMachineToml(next_arg(i), req.cfg, cfg_err))

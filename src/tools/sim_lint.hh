@@ -38,9 +38,6 @@
  *  - cycle-float /  cycle-safety pass keeping integer-cycle timing
  *    cycle-narrow /  integer end-to-end (lint_cycle.hh)
  *    cycle-sign
- *  - event-past /   event-discipline pass for EventQueue call sites
- *    event-kind /    (lint_event.hh)
- *    event-tick
  *  - unused-allow   suppression audit: an allow() marker that no
  *                   longer suppresses anything is itself a finding
  *  - stale-baseline a baseline entry that matches no current finding
@@ -78,10 +75,6 @@ enum class Rule
     CycleFloat,
     CycleNarrow,
     CycleSign,
-    // event-discipline pass
-    EventPast,
-    EventKind,
-    EventTick,
     // audit rules (never suppressible)
     UnusedAllow,
     StaleBaseline,

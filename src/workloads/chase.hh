@@ -17,7 +17,7 @@ namespace laperm {
  * in the warp's MLP window. Occupancy is deliberately minimal (one
  * single-thread warp per TB, two TBs per SMX), so SMXs spend almost
  * every cycle stalled on DRAM — the adversarial case for a polling
- * simulator loop and the showcase for the event-driven core
+ * simulator loop and the showcase for per-SMX wake cycles
  * (DESIGN.md §11). Excluded from the Table II sweep list; create it
  * by name ("chase-ring") for scheduler/core benchmarks and tests.
  */

@@ -146,7 +146,6 @@ TEST(ConfigLoaderTest, RunLevelKnobsStayOutOfTheMachineHash)
     b.dynParModel = DynParModel::CDP;
     b.tbPolicy = TbPolicy::AdaptiveBind;
     b.seed = 999;
-    b.tickMode = TickMode::Dense;
     EXPECT_EQ(machineHash(a), machineHash(b));
 }
 

@@ -111,30 +111,6 @@ TEST(TenantManager, RunsAreDeterministic)
     }
 }
 
-TEST(TenantManager, TickModesAgree)
-{
-    // The manager only drives the device between slices, so the
-    // engine's dense/event byte-equivalence must survive multi-tenant
-    // interleaving (the tenant-smoke verify stage checks the same at
-    // the artifact level).
-    const MixSpec mix = builtinMix("duo");
-    GpuConfig dense = testConfig();
-    dense.tickMode = TickMode::Dense;
-    GpuConfig event = testConfig();
-    event.tickMode = TickMode::Event;
-    const MixStudy a = runMixStudy(mix, dense);
-    const MixStudy b = runMixStudy(mix, event);
-    ASSERT_EQ(a.shared.perTenant.size(), b.shared.perTenant.size());
-    EXPECT_EQ(a.shared.makespan, b.shared.makespan);
-    for (std::size_t i = 0; i < a.shared.perTenant.size(); ++i) {
-        EXPECT_EQ(a.shared.perTenant[i].jobTurnarounds,
-                  b.shared.perTenant[i].jobTurnarounds);
-        EXPECT_EQ(a.shared.perTenant[i].waveLatencies,
-                  b.shared.perTenant[i].waveLatencies);
-        EXPECT_EQ(a.solo[i].jobTurnarounds, b.solo[i].jobTurnarounds);
-    }
-}
-
 TEST(TenantSweepTsv, RoundTripsExactly)
 {
     TenantSweepRow r;
