@@ -11,15 +11,8 @@ Csr::fromEdges(std::uint32_t num_vertices,
                std::vector<std::pair<std::uint32_t, std::uint32_t>> edges,
                bool symmetric)
 {
-    if (symmetric) {
-        std::size_t n = edges.size();
-        edges.reserve(2 * n);
-        for (std::size_t i = 0; i < n; ++i)
-            edges.emplace_back(edges[i].second, edges[i].first);
-    }
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
+    // Counting sort by source, then sort and unique each row: O(E +
+    // sum d log d) instead of sorting the whole edge list.
     Csr g;
     g.offsets_.assign(num_vertices + 1, 0);
     for (const auto &[u, v] : edges) {
@@ -28,15 +21,40 @@ Csr::fromEdges(std::uint32_t num_vertices,
         if (u == v)
             continue;
         ++g.offsets_[u + 1];
+        if (symmetric)
+            ++g.offsets_[v + 1];
     }
     for (std::uint32_t v = 0; v < num_vertices; ++v)
         g.offsets_[v + 1] += g.offsets_[v];
-    g.cols_.reserve(edges.size());
+
+    g.cols_.resize(g.offsets_[num_vertices]);
+    std::vector<std::uint64_t> cursor(g.offsets_.begin(),
+                                      g.offsets_.end() - 1);
     for (const auto &[u, v] : edges) {
         if (u == v)
             continue;
-        g.cols_.push_back(v);
+        g.cols_[cursor[u]++] = v;
+        if (symmetric)
+            g.cols_[cursor[v]++] = u;
     }
+    edges = {};
+    cursor = {};
+
+    // Compact the sorted, deduplicated rows towards the front.
+    std::uint32_t *cols = g.cols_.data();
+    std::uint64_t begin = 0, out = 0;
+    for (std::uint32_t v = 0; v < num_vertices; ++v) {
+        const std::uint64_t end = g.offsets_[v + 1];
+        std::sort(cols + begin, cols + end);
+        std::uint32_t *last = std::unique(cols + begin, cols + end);
+        if (out != begin)
+            std::copy(cols + begin, last, cols + out);
+        out += static_cast<std::uint64_t>(last - (cols + begin));
+        g.offsets_[v + 1] = out;
+        begin = end;
+    }
+    g.cols_.resize(out);
+    g.cols_.shrink_to_fit();
     return g;
 }
 

@@ -11,10 +11,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
+#include "mem/fast_mod.hh"
 #include "sim/stats.hh"
 
 namespace laperm {
@@ -102,29 +102,73 @@ class Cache
     std::uint32_t numSets() const { return numSets_; }
 
   private:
-    struct Way
+    /** Tag of an invalid way and of a free MSHR slot. Lines are
+     *  kLineBytes-aligned, so no line ever equals it. */
+    static constexpr Addr kInvalidLine = ~Addr{0};
+    static constexpr std::size_t kNoWay = ~std::size_t{0};
+
+    /**
+     * Open-addressing table of outstanding fills evicted from the tag
+     * array before completing: line -> completion cycle. Linear
+     * probing over a power-of-two slot array with backward-shift
+     * erase, so inserts and erases allocate nothing once the table
+     * has grown to its working size.
+     */
+    class MshrTable
     {
-        Addr line = 0;
-        bool valid = false;
-        bool dirty = false;
-        Cycle fillReady = 0; ///< data not usable before this cycle
-        std::uint64_t lruStamp = 0;
+      public:
+        struct Slot
+        {
+            Addr line = kInvalidLine; ///< kInvalidLine marks a free slot
+            Cycle fillReady = 0;
+        };
+
+        /** @p line's pending fill, or nullptr. */
+        Slot *find(Addr line);
+        void assign(Addr line, Cycle fill_ready);
+        /** Remove @p slot, as returned by find(). */
+        void erase(Slot *slot);
+        /** Drop every entry completing at or before @p cycle. */
+        void eraseCompletedBy(Cycle cycle);
+        std::size_t size() const { return size_; }
+        void clear();
+
+      private:
+        std::size_t home(Addr line) const;
+        void eraseSlot(std::size_t slot);
+        void grow();
+
+        std::vector<Slot> slots_;
+        std::size_t mask_ = 0;    ///< slot count - 1
+        unsigned shift_ = 64;     ///< 64 - log2(slot count)
+        std::size_t size_ = 0;
     };
 
-    std::uint32_t setIndex(Addr line) const;
-    Way *findWay(Addr line);
+    /** Index of @p line's set's first way in the tag arrays. */
+    std::size_t setBase(Addr line) const
+    {
+        return static_cast<std::size_t>(setMod_.mod(line / kLineBytes)) *
+               params_.assoc;
+    }
+    /** Tag-array index of @p line, or kNoWay. */
+    std::size_t findWay(Addr line) const;
 
     CacheParams params_;
     std::uint32_t numSets_;
-    std::vector<Way> ways_; ///< numSets_ * assoc, set-major
+    FastMod setMod_;
+    // The tag store, set-major, as parallel arrays: a probe reads only
+    // the set's assoc contiguous tags.
+    std::vector<Addr> tags_; ///< kInvalidLine marks an invalid way
+    std::vector<Cycle> fillReady_; ///< data not usable before this cycle
+    std::vector<std::uint64_t> lruStamp_;
+    std::vector<std::uint8_t> dirty_;
     std::uint64_t lruClock_ = 0;
     /**
-     * Outstanding fills evicted from the tag array before completing:
-     * line -> completion cycle. Trimmed eagerly by the owner via
-     * trimExpiredMshr() so long runs don't accumulate dead entries
-     * that every merge-miss lookup then hashes through.
+     * Trimmed eagerly by the owner via trimExpiredMshr() so long runs
+     * don't accumulate dead entries that every merge-miss lookup then
+     * probes through.
      */
-    std::unordered_map<Addr, Cycle> mshr_;
+    MshrTable mshr_;
     CacheStats stats_;
 };
 

@@ -7,7 +7,8 @@ namespace laperm {
 Dram::Dram(const GpuConfig &cfg)
     : latency_(cfg.dramLatency),
       serviceInterval_(cfg.dramServiceInterval),
-      bankFreeAt_(cfg.dramChannels * cfg.dramBanksPerChannel, 0)
+      bankFreeAt_(cfg.dramChannels * cfg.dramBanksPerChannel, 0),
+      bankMod_(bankFreeAt_.size())
 {
 }
 
@@ -17,7 +18,7 @@ Dram::bankIndex(Addr line) const
     // Line-interleaved across all banks; the shift mixes in higher bits
     // so strided access patterns do not pathologically collide.
     Addr n = line / kLineBytes;
-    return static_cast<std::uint32_t>((n ^ (n >> 7)) % bankFreeAt_.size());
+    return static_cast<std::uint32_t>(bankMod_.mod(n ^ (n >> 7)));
 }
 
 Cycle

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "mem/fast_mod.hh"
 #include "sim/config.hh"
 #include "sim/stats.hh"
 
@@ -44,6 +45,7 @@ class Dram
     Cycle latency_;
     Cycle serviceInterval_;
     std::vector<Cycle> bankFreeAt_;
+    FastMod bankMod_; ///< mixed line number -> bank
     DramStats stats_;
 };
 

@@ -7,7 +7,7 @@
 namespace laperm {
 
 MemSystem::MemSystem(const GpuConfig &cfg)
-    : cfg_(cfg), l2BankFreeAt_(cfg.l2Banks, 0)
+    : cfg_(cfg), l2BankFreeAt_(cfg.l2Banks, 0), l2BankMod_(cfg.l2Banks)
 {
     const std::uint32_t num_l1 = cfg.numSmx / cfg.smxPerCluster;
     for (std::uint32_t i = 0; i < num_l1; ++i) {
@@ -35,7 +35,7 @@ MemSystem::l2Access(Addr line, Cycle now, bool is_store,
 {
     // Bank queueing: the request cannot be looked up before its bank is
     // free; each access occupies the bank for a service interval.
-    Cycle &bank = l2BankFreeAt_[(line / kLineBytes) % cfg_.l2Banks];
+    Cycle &bank = l2BankFreeAt_[l2BankMod_.mod(line / kLineBytes)];
     Cycle arrival = std::max(now, bank);
     bank = arrival + cfg_.l2ServiceInterval;
 

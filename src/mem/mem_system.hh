@@ -15,6 +15,7 @@
 #include "common/types.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
+#include "mem/fast_mod.hh"
 #include "sim/config.hh"
 #include "sim/observer.hh"
 
@@ -89,6 +90,7 @@ class MemSystem
     std::unique_ptr<Cache> l2_;
     std::optional<Dram> dram_;
     std::vector<Cycle> l2BankFreeAt_;
+    FastMod l2BankMod_; ///< line number -> L2 bank
     obs::MemObserver *loc_ = nullptr;
 };
 

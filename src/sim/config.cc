@@ -58,8 +58,14 @@ GpuConfig::check() const
         return "maxTbsPerSmx must be > 0";
     if (warpSchedulersPerSmx == 0)
         return "warpSchedulersPerSmx must be > 0";
+    // A zero size is divisible by anything but yields a cache with no
+    // sets, so it is rejected by name.
+    if (l1Size == 0)
+        return "L1 size must be > 0";
     if (l1Assoc == 0 || l1Size % (l1Assoc * kLineBytes) != 0)
         return logFormat("L1 size %u not divisible by assoc*line", l1Size);
+    if (l2Size == 0)
+        return "L2 size must be > 0";
     if (l2Assoc == 0 || l2Size % (l2Assoc * kLineBytes) != 0)
         return logFormat("L2 size %u not divisible by assoc*line", l2Size);
     if (l2Banks == 0)

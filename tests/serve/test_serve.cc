@@ -595,6 +595,34 @@ TEST(ServeService, InvalidRequestsErrorWithoutExecuting)
     EXPECT_EQ(m.executed, 0u);
 }
 
+TEST(ServeService, ZeroCacheSizesAreStructuredErrors)
+{
+    // A zero-size cache has no sets; it must be refused at validation,
+    // never reach the Cache constructor and abort the worker.
+    ServiceHandler handler(testServiceOptions(tempDir("zero_cache")));
+    JsonObject resp;
+    std::string err, s;
+    for (const char *bad :
+         {R"({"op":"run","workload":"bfs-cage","scale":"tiny","l1_kb":0})",
+          R"({"op":"run","workload":"bfs-cage","scale":"tiny","l2_kb":0})",
+          R"({"op":"run","workload":"bfs-cage","scale":"tiny",)"
+          R"("config":"l1_size = 0"})"}) {
+        ASSERT_TRUE(parseJsonObject(handler.handleLine(bad), resp, err))
+            << err;
+        ASSERT_TRUE(getString(resp, "status", s));
+        EXPECT_EQ(s, kStatusError) << bad;
+        ASSERT_TRUE(getString(resp, "message", s)) << bad;
+        EXPECT_NE(s.find("size must be > 0"), std::string::npos) << s;
+    }
+    ASSERT_TRUE(parseJsonObject(
+        handler.handleLine(
+            R"({"op":"run","workload":"bfs-cage","scale":"tiny"})"),
+        resp, err))
+        << err;
+    ASSERT_TRUE(getString(resp, "status", s));
+    EXPECT_EQ(s, kStatusOk);
+}
+
 // ----------------------------------------------------------------- server
 
 TEST(ServeServer, HandleLineDispatchesAndSurvivesBadInput)

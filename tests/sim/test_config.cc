@@ -12,6 +12,30 @@ TEST(Config, DefaultsValidate)
     EXPECT_EQ(cfg.numSmx, 13u);
 }
 
+TEST(Config, CheckRejectsDegenerateMemoryGeometry)
+{
+    const struct
+    {
+        const char *why;
+        void (*mutate)(GpuConfig &);
+    } kBad[] = {
+        {"zero L1 size", [](GpuConfig &c) { c.l1Size = 0; }},
+        {"zero L2 size", [](GpuConfig &c) { c.l2Size = 0; }},
+        {"zero L1 assoc", [](GpuConfig &c) { c.l1Assoc = 0; }},
+        {"L1 size not a multiple of assoc*line",
+         [](GpuConfig &c) { c.l1Size = 1000; }},
+        {"L2 size not a multiple of assoc*line",
+         [](GpuConfig &c) { c.l2Size = 3 * 1024; }},
+        {"zero L2 banks", [](GpuConfig &c) { c.l2Banks = 0; }},
+        {"zero DRAM banks", [](GpuConfig &c) { c.dramBanksPerChannel = 0; }},
+    };
+    for (const auto &bad : kBad) {
+        GpuConfig cfg;
+        bad.mutate(cfg);
+        EXPECT_NE(cfg.check(), "") << bad.why;
+    }
+}
+
 TEST(Config, EffectiveOnchipEntriesLimitedForCdp)
 {
     GpuConfig cfg;
