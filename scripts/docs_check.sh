@@ -128,11 +128,14 @@ done
 # --- Reverse: documented CLI flags exist --------------------------------
 # Every fenced code block is classified by which laperm CLI binaries it
 # mentions; each `--flag` in the block must be a string literal in at
-# least one of those binaries' sources.
-sim_flags=$(grep -ohE '"--[a-z0-9-]+"' src/tools/laperm_sim.cc |
-    tr -d '"' | sort -u)
-submit_flags=$(grep -ohE '"--[a-z0-9-]+"' src/tools/laperm_submit.cc |
-    tr -d '"' | sort -u)
+# least one of those binaries' sources. The run flags both CLIs share
+# (--workload, --preset, --l1-kb, ...) live in the request parser's
+# flag table, so sim_request.cc is a source of both.
+run_flag_src=src/serve/service/sim_request.cc
+sim_flags=$(grep -ohE '"--[a-z0-9-]+"' src/tools/laperm_sim.cc \
+    "$run_flag_src" | tr -d '"' | sort -u)
+submit_flags=$(grep -ohE '"--[a-z0-9-]+"' src/tools/laperm_submit.cc \
+    "$run_flag_src" | tr -d '"' | sort -u)
 served_flags=$(grep -ohE '"--[a-z0-9-]+"' src/tools/laperm_served.cc |
     tr -d '"' | sort -u)
 lint_flags=$(grep -ohE '"--[a-z0-9-]+"' src/tools/sim_lint_main.cc |

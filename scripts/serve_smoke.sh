@@ -6,7 +6,8 @@
 #   2. wait for readiness via --ping
 #   3. submit the same simulation directly (laperm_sim --csv), cold
 #      through the daemon, and again cached — all three must be
-#      byte-identical
+#      byte-identical; then once more on a non-default machine with the
+#      flags in a different order on each side
 #   4. batch submission prints the sweep-format TSV
 #   5. --stats returns the metrics snapshot
 #   6. protocol shutdown; the daemon must exit cleanly and remove its
@@ -70,6 +71,17 @@ req=(--workload bfs-cage --scale tiny --seed 1)
 cmp "$WORK/direct.csv" "$WORK/cold.csv"
 cmp "$WORK/direct.csv" "$WORK/cached.csv"
 echo "serve_smoke: direct/cold/cached outputs byte-identical"
+
+# Both CLIs hand their run flags to the wire's parser, so machine flags
+# apply in its fixed order (preset, config, single fields) whatever the
+# argv order: the same machine, down to the CSV's config-hash column.
+"$SIM" --csv --preset p100 --l1-kb 16 --warp-sched lrr --scale tiny \
+    >"$WORK/direct_p100.csv"
+"$SUBMIT" --connect "unix:$SOCK" --warp-sched lrr --scale tiny \
+    --l1-kb 16 --preset p100 >"$WORK/served_p100.csv"
+head -1 "$WORK/direct_p100.csv" | grep -q ',config$'
+cmp "$WORK/direct_p100.csv" "$WORK/served_p100.csv"
+echo "serve_smoke: custom-machine direct/served outputs byte-identical"
 
 # Batch submission prints the sweep-harness TSV format.
 printf '%s\n' \

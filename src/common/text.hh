@@ -22,6 +22,7 @@
 #ifndef LAPERM_COMMON_TEXT_HH
 #define LAPERM_COMMON_TEXT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -58,6 +59,45 @@ std::uint64_t envCount(const char *name, std::uint64_t max,
  * pass through unchanged.
  */
 std::string jsonEscape(std::string_view s);
+
+/**
+ * One spelling of an enumerator. A table of these is an enum's one
+ * parser and one name function: names match exactly (case included),
+ * and the first entry for a value is its name, so an alias follows
+ * the entry it aliases.
+ */
+template <typename E>
+struct EnumName
+{
+    const char *name;
+    E value;
+};
+
+/** Look @p s up in @p names; false leaves @p out untouched. */
+template <typename E, std::size_t N>
+bool
+parseEnum(const EnumName<E> (&names)[N], std::string_view s, E &out)
+{
+    for (const EnumName<E> &n : names) {
+        if (s == n.name) {
+            out = n.value;
+            return true;
+        }
+    }
+    return false;
+}
+
+/** The first name @p names gives @p value ("?" if none). */
+template <typename E, std::size_t N>
+const char *
+enumName(const EnumName<E> (&names)[N], E value)
+{
+    for (const EnumName<E> &n : names) {
+        if (n.value == value)
+            return n.name;
+    }
+    return "?";
+}
 
 /** One non-blank config line, as handed to a ConfigVisitor. */
 struct ConfigLine

@@ -25,33 +25,6 @@ constexpr std::size_t kNumPolicies = std::size(kPolicies);
 constexpr std::uint64_t kMaxPolicy =
     static_cast<std::uint64_t>(TbPolicy::AdaptiveBind);
 
-std::vector<TenantSweepRow>
-cellRows(const std::string &mix_name, const std::string &preset,
-         TbPolicy policy, const tenant::MixStudy &study)
-{
-    std::vector<TenantSweepRow> rows;
-    for (const tenant::TenantMetrics &tm : study.metrics.perTenant) {
-        TenantSweepRow r;
-        r.mix = mix_name;
-        r.preset = preset;
-        r.policy = policy;
-        r.tenant = tm.name;
-        r.tenantId = tm.tenant;
-        r.jobs = tm.jobs;
-        r.antt = tm.antt;
-        r.p50 = tm.p50;
-        r.p95 = tm.p95;
-        r.p99 = tm.p99;
-        r.retiredTbs = tm.retiredTbs;
-        r.mixAntt = study.metrics.antt;
-        r.mixStp = study.metrics.stp;
-        r.mixJain = study.metrics.jain;
-        r.makespan = study.metrics.makespan;
-        rows.push_back(std::move(r));
-    }
-    return rows;
-}
-
 bool
 loadGroup(const std::string &path, const std::string &mix_name,
           const std::string &preset, std::size_t tenants,
@@ -84,6 +57,33 @@ loadGroup(const std::string &path, const std::string &mix_name,
 }
 
 } // namespace
+
+std::vector<TenantSweepRow>
+tenantSweepRows(const std::string &mix, const std::string &preset,
+                TbPolicy policy, const tenant::MixStudy &study)
+{
+    std::vector<TenantSweepRow> rows;
+    for (const tenant::TenantMetrics &tm : study.metrics.perTenant) {
+        TenantSweepRow r;
+        r.mix = mix;
+        r.preset = preset;
+        r.policy = policy;
+        r.tenant = tm.name;
+        r.tenantId = tm.tenant;
+        r.jobs = tm.jobs;
+        r.antt = tm.antt;
+        r.p50 = tm.p50;
+        r.p95 = tm.p95;
+        r.p99 = tm.p99;
+        r.retiredTbs = tm.retiredTbs;
+        r.mixAntt = study.metrics.antt;
+        r.mixStp = study.metrics.stp;
+        r.mixJain = study.metrics.jain;
+        r.makespan = study.metrics.makespan;
+        rows.push_back(std::move(r));
+    }
+    return rows;
+}
 
 std::string
 encodeTenantSweepTsv(const std::vector<TenantSweepRow> &rows)
@@ -223,8 +223,8 @@ runTenantSweep(const std::vector<std::string> &mixes,
                     cfg.seed = seed;
                     tenant::MixStudy study =
                         tenant::runMixStudy(g.mix, cfg);
-                    cells[slot] = cellRows(g.mix.name, g.preset,
-                                           kPolicies[pi], study);
+                    cells[slot] = tenantSweepRows(
+                        g.mix.name, g.preset, kPolicies[pi], study);
                     laperm_inform(
                         "mix %s %s/%s: ANTT=%.2f STP=%.2f Jain=%.3f",
                         g.mix.name.c_str(), g.preset.c_str(),

@@ -21,6 +21,10 @@
 
 namespace laperm {
 
+namespace tenant {
+struct MixStudy;
+} // namespace tenant
+
 /**
  * One tenant of one (mix, preset, policy) cell. Mix-level metrics
  * (ANTT mean, STP, Jain, makespan) repeat on every row of the cell so
@@ -44,6 +48,17 @@ struct TenantSweepRow
     double mixJain = 0.0;
     std::uint64_t makespan = 0;
 };
+
+/**
+ * The rows of one cell: one per tenant of @p study, in tenant order,
+ * labeled with @p mix, @p preset and @p policy. laperm_sim
+ * --tenants-tsv, a served mix request and the sweep all build their
+ * rows here.
+ */
+std::vector<TenantSweepRow> tenantSweepRows(const std::string &mix,
+                                            const std::string &preset,
+                                            TbPolicy policy,
+                                            const tenant::MixStudy &study);
 
 /** Serialize rows (header comment + one row per tenant, %.17g doubles). */
 std::string encodeTenantSweepTsv(const std::vector<TenantSweepRow> &rows);

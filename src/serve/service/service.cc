@@ -221,28 +221,8 @@ SimService::execute(const SimRequest &req, const std::string &key,
             const tenant::MixSpec mix = tenant::builtinMix(req.tenants);
             const tenant::MixStudy study =
                 tenant::runMixStudy(mix, req.cfg);
-            std::vector<TenantSweepRow> rows;
-            for (const tenant::TenantMetrics &tm :
-                 study.metrics.perTenant) {
-                TenantSweepRow r;
-                r.mix = mix.name;
-                r.preset = req.presetName;
-                r.policy = req.cfg.tbPolicy;
-                r.tenant = tm.name;
-                r.tenantId = tm.tenant;
-                r.jobs = tm.jobs;
-                r.antt = tm.antt;
-                r.p50 = tm.p50;
-                r.p95 = tm.p95;
-                r.p99 = tm.p99;
-                r.retiredTbs = tm.retiredTbs;
-                r.mixAntt = study.metrics.antt;
-                r.mixStp = study.metrics.stp;
-                r.mixJain = study.metrics.jain;
-                r.makespan = study.metrics.makespan;
-                rows.push_back(std::move(r));
-            }
-            payload = encodeTenantSweepTsv(rows);
+            payload = encodeTenantSweepTsv(tenantSweepRows(
+                mix.name, req.presetName, req.cfg.tbPolicy, study));
         } else {
             auto w = createWorkload(req.workload);
             w->setup(req.scale, req.seed);

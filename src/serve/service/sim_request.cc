@@ -1,6 +1,10 @@
 #include "serve/service/sim_request.hh"
 
 #include <algorithm>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 
 #include "common/log.hh"
 #include "harness/experiment.hh"
@@ -15,122 +19,43 @@ namespace serve {
 
 namespace {
 
-// Wire spellings match the laperm_sim CLI so a request is a mechanical
-// translation of a command line (and vice versa in serve_smoke.sh).
-
-bool
-parseModel(const std::string &s, DynParModel &out)
+/** How a run flag's command-line value becomes its wire field. */
+enum class FlagKind
 {
-    if (s == "cdp") {
-        out = DynParModel::CDP;
-        return true;
-    }
-    if (s == "dtbl") {
-        out = DynParModel::DTBL;
-        return true;
-    }
-    return false;
-}
+    String, ///< the value as a JSON string
+    Number, ///< the value as a raw JSON number token
+    File,   ///< the named file's text as a JSON string
+};
 
-bool
-parsePolicy(const std::string &s, TbPolicy &out)
+/** A run flag and the request field it sets. */
+struct RunFlag
 {
-    if (s == "rr") {
-        out = TbPolicy::RR;
-        return true;
-    }
-    if (s == "tbpri") {
-        out = TbPolicy::TbPri;
-        return true;
-    }
-    if (s == "smxbind") {
-        out = TbPolicy::SmxBind;
-        return true;
-    }
-    if (s == "adaptive" || s == "laperm") {
-        out = TbPolicy::AdaptiveBind;
-        return true;
-    }
-    return false;
-}
+    const char *flag;
+    const char *field;
+    FlagKind kind;
+};
 
-bool
-parseScale(const std::string &s, Scale &out)
-{
-    if (s == "tiny") {
-        out = Scale::Tiny;
-        return true;
-    }
-    if (s == "small") {
-        out = Scale::Small;
-        return true;
-    }
-    if (s == "full") {
-        out = Scale::Full;
-        return true;
-    }
-    if (s == "huge") {
-        out = Scale::Huge;
-        return true;
-    }
-    return false;
-}
-
-bool
-parseWarp(const std::string &s, WarpPolicy &out)
-{
-    if (s == "gto") {
-        out = WarpPolicy::GTO;
-        return true;
-    }
-    if (s == "lrr") {
-        out = WarpPolicy::LRR;
-        return true;
-    }
-    if (s == "tbaware") {
-        out = WarpPolicy::TbAware;
-        return true;
-    }
-    return false;
-}
-
-const char *
-wireModel(DynParModel m)
-{
-    return m == DynParModel::CDP ? "cdp" : "dtbl";
-}
-
-const char *
-wirePolicy(TbPolicy p)
-{
-    switch (p) {
-    case TbPolicy::RR:
-        return "rr";
-    case TbPolicy::TbPri:
-        return "tbpri";
-    case TbPolicy::SmxBind:
-        return "smxbind";
-    case TbPolicy::AdaptiveBind:
-        return "adaptive";
-    }
-    return "rr";
-}
-
-const char *
-wireScale(Scale s)
-{
-    switch (s) {
-    case Scale::Tiny:
-        return "tiny";
-    case Scale::Small:
-        return "small";
-    case Scale::Full:
-        return "full";
-    case Scale::Huge:
-        return "huge";
-    }
-    return "small";
-}
+// Every run flag is its wire field spelled with dashes, so a command
+// line is a mechanical translation of a request (and vice versa in
+// serve_smoke.sh). fromJson is the only parser of the values.
+constexpr RunFlag kRunFlags[] = {
+    {"--workload", "workload", FlagKind::String},
+    {"--model", "model", FlagKind::String},
+    {"--policy", "policy", FlagKind::String},
+    {"--scale", "scale", FlagKind::String},
+    {"--seed", "seed", FlagKind::Number},
+    {"--preset", "preset", FlagKind::String},
+    {"--config", "config", FlagKind::File},
+    {"--smx", "smx", FlagKind::Number},
+    {"--l1-kb", "l1_kb", FlagKind::Number},
+    {"--l2-kb", "l2_kb", FlagKind::Number},
+    {"--levels", "levels", FlagKind::Number},
+    {"--cdp-latency", "cdp_latency", FlagKind::Number},
+    {"--dtbl-latency", "dtbl_latency", FlagKind::Number},
+    {"--warp-sched", "warp_sched", FlagKind::String},
+    {"--trace-dir", "trace_dir", FlagKind::String},
+    {"--tenants", "tenants", FlagKind::String},
+};
 
 bool
 getU32(const JsonObject &obj, const std::string &key, std::uint32_t &out,
@@ -203,7 +128,7 @@ SimRequest::fromJson(const JsonObject &obj, SimRequest &out,
             }
         } else if (key == "warp_sched") {
             if (!getString(obj, key, s) ||
-                !parseWarp(s, r.cfg.warpPolicy)) {
+                !parseWarpPolicy(s, r.cfg.warpPolicy)) {
                 err = "'warp_sched' must be gto|lrr|tbaware";
                 return false;
             }
@@ -335,8 +260,8 @@ SimRequest::toJson() const
     std::string out = logFormat(
         "{\"op\":\"run\",\"workload\":\"%s\",\"model\":\"%s\","
         "\"policy\":\"%s\",\"scale\":\"%s\",\"seed\":%llu",
-        jsonEscape(workload).c_str(), wireModel(model),
-        wirePolicy(policy), wireScale(scale),
+        jsonEscape(workload).c_str(), wireName(model),
+        wireName(policy), toString(scale),
         static_cast<unsigned long long>(seed));
     // Preset travels by name (it is a label in tenant TSV rows) and
     // the machine still travels as TOML: fromJson applies preset first,
@@ -351,6 +276,41 @@ SimRequest::toJson() const
         out += ",\"tenants\":\"" + jsonEscape(tenants) + "\"";
     out += "}";
     return out;
+}
+
+RunFlagMatch
+collectRunFlag(int argc, char **argv, int &i, JsonObject &obj,
+               std::string &err)
+{
+    const RunFlag *f = std::find_if(
+        std::begin(kRunFlags), std::end(kRunFlags),
+        [&](const RunFlag &r) { return !std::strcmp(argv[i], r.flag); });
+    if (f == std::end(kRunFlags))
+        return RunFlagMatch::None;
+    if (i + 1 >= argc) {
+        err = logFormat("missing value for %s", f->flag);
+        return RunFlagMatch::Error;
+    }
+    if (obj.count(f->field)) {
+        err = logFormat("%s given more than once", f->flag);
+        return RunFlagMatch::Error;
+    }
+    JsonValue v;
+    v.type = f->kind == FlagKind::Number ? JsonValue::Type::Number
+                                         : JsonValue::Type::String;
+    v.str = argv[++i];
+    if (f->kind == FlagKind::File) {
+        std::ifstream in(v.str, std::ios::binary);
+        if (!in) {
+            err = "cannot read config file '" + v.str + "'";
+            return RunFlagMatch::Error;
+        }
+        std::ostringstream text;
+        text << in.rdbuf();
+        v.str = text.str();
+    }
+    obj[f->field] = std::move(v);
+    return RunFlagMatch::Taken;
 }
 
 } // namespace serve

@@ -97,6 +97,28 @@ struct SimRequest
     std::string toJson() const;
 };
 
+/** What collectRunFlag() made of one command-line argument. */
+enum class RunFlagMatch
+{
+    None,  ///< not a run flag: the tool's own flag (or a usage error)
+    Taken, ///< stored in the request object; the value was consumed
+    Error, ///< a run flag that cannot be stored; see the message
+};
+
+/**
+ * The command-line side of fromJson (DESIGN.md §10.2), shared by
+ * laperm_sim and laperm_submit so a run has one parser. If argv[@p i]
+ * is a run flag — a fromJson field spelled with dashes, e.g. --l1-kb
+ * for l1_kb — store its value in @p obj under that field, advance @p i
+ * past the value and return Taken; `--config FILE` stores the file's
+ * text. Values are checked only by fromJson() and validate(), so flags
+ * apply in the wire's fixed order whatever their argv order. A missing
+ * value, a flag given twice or an unreadable config file is an Error
+ * with @p err set.
+ */
+RunFlagMatch collectRunFlag(int argc, char **argv, int &i,
+                            JsonObject &obj, std::string &err);
+
 } // namespace serve
 } // namespace laperm
 

@@ -1,8 +1,32 @@
 #include "sim/config.hh"
 
 #include "common/log.hh"
+#include "common/text.hh"
 
 namespace laperm {
+
+namespace {
+
+constexpr EnumName<DynParModel> kModelNames[] = {
+    {"cdp", DynParModel::CDP},
+    {"dtbl", DynParModel::DTBL},
+};
+
+constexpr EnumName<TbPolicy> kPolicyNames[] = {
+    {"rr", TbPolicy::RR},
+    {"tbpri", TbPolicy::TbPri},
+    {"smxbind", TbPolicy::SmxBind},
+    {"adaptive", TbPolicy::AdaptiveBind},
+    {"laperm", TbPolicy::AdaptiveBind},
+};
+
+constexpr EnumName<WarpPolicy> kWarpNames[] = {
+    {"gto", WarpPolicy::GTO},
+    {"lrr", WarpPolicy::LRR},
+    {"tbaware", WarpPolicy::TbAware},
+};
+
+} // namespace
 
 const char *
 toString(DynParModel model)
@@ -35,6 +59,42 @@ toString(WarpPolicy policy)
       case WarpPolicy::TbAware: return "TB-aware";
     }
     return "?";
+}
+
+bool
+parseModel(const std::string &s, DynParModel &out)
+{
+    return parseEnum(kModelNames, s, out);
+}
+
+bool
+parsePolicy(const std::string &s, TbPolicy &out)
+{
+    return parseEnum(kPolicyNames, s, out);
+}
+
+bool
+parseWarpPolicy(const std::string &s, WarpPolicy &out)
+{
+    return parseEnum(kWarpNames, s, out);
+}
+
+const char *
+wireName(DynParModel model)
+{
+    return enumName(kModelNames, model);
+}
+
+const char *
+wireName(TbPolicy policy)
+{
+    return enumName(kPolicyNames, policy);
+}
+
+const char *
+wireName(WarpPolicy policy)
+{
+    return enumName(kWarpNames, policy);
 }
 
 std::uint32_t

@@ -52,9 +52,24 @@ enum class BackupPolicy
     Random,   ///< Steal from a random non-empty SMX each time.
 };
 
+/** Display names for reports ("DTBL", "TB-Pri", "TB-aware"). */
 const char *toString(DynParModel model);
 const char *toString(TbPolicy policy);
 const char *toString(WarpPolicy policy);
+
+/**
+ * Run-field spellings shared by the wire, both CLIs and the machine
+ * TOML (DESIGN.md §10.2): one parser and one name per enum. Parsing is
+ * exact lowercase (cdp, smxbind, tbaware; laperm also names
+ * Adaptive-Bind) and false leaves @p out untouched; wireName() is the
+ * spelling requests and machine TOML emit.
+ */
+bool parseModel(const std::string &s, DynParModel &out);
+bool parsePolicy(const std::string &s, TbPolicy &out);
+bool parseWarpPolicy(const std::string &s, WarpPolicy &out);
+const char *wireName(DynParModel model);
+const char *wireName(TbPolicy policy);
+const char *wireName(WarpPolicy policy);
 
 /**
  * Full device configuration. Defaults reproduce Table I.

@@ -1,8 +1,6 @@
 #include "sim/config_loader.hh"
 
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 
 #include "common/hash.hh"
 #include "common/log.hh"
@@ -120,29 +118,12 @@ const FieldDef kFields[] = {
                      "warp schedulers per SMX"),
     {"warp_sched", "warp scheduling policy: gto|lrr|tbaware", true,
      [](GpuConfig &c, const std::string &raw, std::string &err) {
-         if (raw == "gto") {
-             c.warpPolicy = WarpPolicy::GTO;
+         if (parseWarpPolicy(raw, c.warpPolicy))
              return true;
-         }
-         if (raw == "lrr") {
-             c.warpPolicy = WarpPolicy::LRR;
-             return true;
-         }
-         if (raw == "tbaware") {
-             c.warpPolicy = WarpPolicy::TbAware;
-             return true;
-         }
          err = badValue("warp_sched", "gto|lrr|tbaware", raw);
          return false;
      },
-     [](const GpuConfig &c) {
-         switch (c.warpPolicy) {
-           case WarpPolicy::GTO: return std::string("gto");
-           case WarpPolicy::LRR: return std::string("lrr");
-           case WarpPolicy::TbAware: return std::string("tbaware");
-         }
-         return std::string("gto");
-     }},
+     [](const GpuConfig &c) { return std::string(wireName(c.warpPolicy)); }},
     LAPERM_FIELD_U32("smx_per_cluster", smxPerCluster,
                      "SMXs sharing one L1 cluster"),
 
@@ -310,24 +291,6 @@ parseMachineToml(const std::string &text, GpuConfig &cfg, std::string &err)
     if (!lexConfig(text, visit, err))
         return false;
     cfg = scratch;
-    return true;
-}
-
-bool
-loadMachineToml(const std::string &path, GpuConfig &cfg, std::string &err)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        err = logFormat("cannot read config file '%s'", path.c_str());
-        return false;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string parse_err;
-    if (!parseMachineToml(text.str(), cfg, parse_err)) {
-        err = logFormat("%s: %s", path.c_str(), parse_err.c_str());
-        return false;
-    }
     return true;
 }
 

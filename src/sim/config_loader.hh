@@ -75,10 +75,6 @@ std::string machineFieldValue(const GpuConfig &cfg, const std::string &key);
 bool parseMachineToml(const std::string &text, GpuConfig &cfg,
                       std::string &err);
 
-/** parseMachineToml() over a file's contents; false if unreadable. */
-bool loadMachineToml(const std::string &path, GpuConfig &cfg,
-                     std::string &err);
-
 /**
  * Canonical TOML emission of every machine field, registry order.
  * parse(emit(cfg)) == cfg, and emit(parse(emit(cfg))) is byte-equal.

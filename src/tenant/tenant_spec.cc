@@ -27,28 +27,6 @@ validName(const std::string &s)
     return true;
 }
 
-bool
-parseScaleName(const std::string &s, Scale &out)
-{
-    if (s == "tiny") {
-        out = Scale::Tiny;
-        return true;
-    }
-    if (s == "small") {
-        out = Scale::Small;
-        return true;
-    }
-    if (s == "full") {
-        out = Scale::Full;
-        return true;
-    }
-    if (s == "huge") {
-        out = Scale::Huge;
-        return true;
-    }
-    return false;
-}
-
 } // namespace
 
 bool
@@ -138,7 +116,7 @@ parseMixToml(const std::string &text, MixSpec &out, std::string &err)
             }
             cur->workload = value;
         } else if (key == "scale") {
-            if (!parseScaleName(value, cur->scale)) {
+            if (!parseScale(value, cur->scale)) {
                 e = "scale must be tiny|small|full|huge";
                 return false;
             }

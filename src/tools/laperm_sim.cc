@@ -9,7 +9,7 @@
  *     --workload NAME   bfs-citation, join-gaussian, ... or "all"
  *     --policy P        rr | tbpri | smxbind | adaptive (default rr)
  *     --model M         cdp | dtbl (default dtbl)
- *     --scale S         tiny | small | full (default small)
+ *     --scale S         tiny | small | full | huge (default small)
  *     --seed N          input-generator seed (default 1)
  *     --preset NAME     hardware preset (k20c | gtx1080 | p100 | v100)
  *     --config FILE     machine TOML applied on top of the preset
@@ -20,7 +20,7 @@
  *     --levels N        max priority levels L
  *     --cdp-latency N   CDP launch latency in cycles
  *     --dtbl-latency N  DTBL launch latency in cycles
- *     --warp-sched W    gto | lrr
+ *     --warp-sched W    gto | lrr | tbaware
  *     --csv             one CSV row per run instead of the report
  *                       (non-default machines append a config column)
  *     --list            list workload names and exit
@@ -35,9 +35,11 @@
  *                       --model, --seed and the machine flags do.
  *     --tenants-tsv FILE  also write the per-tenant rows as a TSV
  *
- * Machine flags apply in command-line order, later flags overriding
- * earlier ones: put --preset (whole-machine) first, then --config
- * (file of overrides), then single-field flags like --smx.
+ * Run flags are parsed by the request parser laperm_submit and the
+ * daemon share (serve/service/sim_request.hh), so a flag may appear
+ * once and machine flags apply in its fixed order whatever their
+ * command-line order: --preset (whole machine), then --config (file
+ * of overrides), then single-field flags like --smx.
  *
  * Observability outputs (DESIGN.md §8; any combination may be given):
  *     --trace FILE          dispatch-event CSV (legacy flat format)
@@ -64,6 +66,7 @@
 #include "harness/result_cache.hh"
 #include "harness/table.hh"
 #include "harness/tenant_sweep.hh"
+#include "serve/service/sim_request.hh"
 #include "sim/config_loader.hh"
 #include "sim/presets.hh"
 #include "tenant/mixes.hh"
@@ -71,17 +74,15 @@
 #include "workloads/registry.hh"
 
 using namespace laperm;
+using namespace laperm::serve;
 
 namespace {
 
 struct Options
 {
-    std::string workload = "bfs-citation";
-    TbPolicy policy = TbPolicy::RR;
-    DynParModel model = DynParModel::DTBL;
-    Scale scale = Scale::Small;
-    std::uint64_t seed = 1;
-    GpuConfig cfg;
+    SimRequest req;            ///< the run, as the wire parses it
+    bool allWorkloads = false; ///< --workload all
+    std::string tenantsFile;   ///< --tenants FILE.toml
     bool csv = false;
     std::string tracePath;     ///< --trace FILE: dispatch-event CSV
     std::string traceJsonPath; ///< --trace-json FILE
@@ -89,9 +90,7 @@ struct Options
     Cycle interval = 1000;     ///< --interval N
     std::string latencyPath;   ///< --latency-hist FILE
     std::string localityPath;  ///< --locality FILE
-    std::string tenantsSpec;   ///< --tenants SPEC (mix name or .toml)
     std::string tenantsTsvPath; ///< --tenants-tsv FILE
-    std::string preset = "k20c"; ///< last --preset name (TSV label)
 
     bool wantsCollector() const
     {
@@ -111,7 +110,7 @@ usage(const char *argv0)
                  "[--smx N] "
                  "[--l1-kb N] [--l2-kb N] [--levels N] "
                  "[--cdp-latency N] [--dtbl-latency N] "
-                 "[--warp-sched gto|lrr] "
+                 "[--warp-sched gto|lrr|tbaware] "
                  "[--csv] [--list] "
                  "[--trace FILE] [--trace-json FILE] "
                  "[--trace-intervals FILE] [--interval N] "
@@ -130,32 +129,10 @@ parseU32(const char *s, const char *what)
     return static_cast<std::uint32_t>(v);
 }
 
-std::uint64_t
-parseU64(const char *s, const char *what)
-{
-    std::uint64_t v = 0;
-    if (!parseUInt(s, UINT64_MAX, v))
-        laperm_fatal("bad %s value '%s'", what, s);
-    return v;
-}
-
-TbPolicy
-parsePolicy(const std::string &s)
-{
-    if (s == "rr")
-        return TbPolicy::RR;
-    if (s == "tbpri")
-        return TbPolicy::TbPri;
-    if (s == "smxbind")
-        return TbPolicy::SmxBind;
-    if (s == "adaptive" || s == "laperm")
-        return TbPolicy::AdaptiveBind;
-    laperm_fatal("unknown policy '%s'", s.c_str());
-}
-
 void
 report(const Options &opt, const Workload &w, const GpuStats &s)
 {
+    const SimRequest &req = opt.req;
     if (opt.csv) {
         // Shared with the serving subsystem: laperm_submit renders the
         // same record through the same formatter, which is what makes
@@ -163,21 +140,21 @@ report(const Options &opt, const Workload &w, const GpuStats &s)
         // non-default machine appends the config column, keeping the
         // default-machine CSV byte-identical across releases.
         const ResultRecord rec =
-            ResultRecord::fromStats(w.fullName(), opt.model, opt.policy,
-                                    s, machineHash(opt.cfg));
+            ResultRecord::fromStats(w.fullName(), req.model, req.policy,
+                                    s, machineHash(req.cfg));
         std::printf("%s\n", rec.customMachine()
                                 ? rec.csvRowWithConfig().c_str()
                                 : rec.csvRow().c_str());
         return;
     }
     std::printf("=== %s  (%s, %s, scale %s, seed %llu)\n",
-                w.fullName().c_str(), toString(opt.model),
-                toString(opt.policy), toString(opt.scale),
-                static_cast<unsigned long long>(opt.seed));
-    if (machineHash(opt.cfg) != defaultMachineHash())
+                w.fullName().c_str(), toString(req.model),
+                toString(req.policy), toString(req.scale),
+                static_cast<unsigned long long>(req.seed));
+    if (machineHash(req.cfg) != defaultMachineHash())
         std::printf("  machine           %s  [%s]\n",
-                    opt.cfg.summary().c_str(),
-                    machineHash(opt.cfg).c_str());
+                    req.cfg.summary().c_str(),
+                    machineHash(req.cfg).c_str());
     std::printf("  cycles            %llu\n",
                 static_cast<unsigned long long>(s.cycles));
     std::printf("  IPC               %.3f\n", s.ipc());
@@ -217,27 +194,22 @@ report(const Options &opt, const Workload &w, const GpuStats &s)
 int
 runTenants(const Options &opt)
 {
+    const GpuConfig &cfg = opt.req.cfg;
     tenant::MixSpec mix;
-    if (tenant::isBuiltinMix(opt.tenantsSpec)) {
-        mix = tenant::builtinMix(opt.tenantsSpec);
-    } else if (opt.tenantsSpec.rfind(".toml") != std::string::npos ||
-               opt.tenantsSpec.find('/') != std::string::npos) {
-        std::string err;
-        if (!tenant::loadMixToml(opt.tenantsSpec, mix, err))
-            laperm_fatal("%s", err.c_str());
+    if (opt.tenantsFile.empty()) {
+        mix = tenant::builtinMix(opt.req.tenants);
     } else {
-        laperm_fatal("unknown mix '%s' (builtin: %s; or pass a .toml "
-                     "spec file)",
-                     opt.tenantsSpec.c_str(),
-                     tenant::mixNameList().c_str());
+        std::string err;
+        if (!tenant::loadMixToml(opt.tenantsFile, mix, err))
+            laperm_fatal("%s", err.c_str());
     }
 
-    const tenant::MixStudy study = tenant::runMixStudy(mix, opt.cfg);
+    const tenant::MixStudy study = tenant::runMixStudy(mix, cfg);
 
     std::printf("=== mix %s  (%s, %s, seed %llu, %zu tenants)\n",
-                mix.name.c_str(), toString(opt.cfg.dynParModel),
-                toString(opt.cfg.tbPolicy),
-                static_cast<unsigned long long>(opt.cfg.seed),
+                mix.name.c_str(), toString(cfg.dynParModel),
+                toString(cfg.tbPolicy),
+                static_cast<unsigned long long>(cfg.seed),
                 mix.tenants.size());
     for (std::size_t i = 0; i < study.metrics.perTenant.size(); ++i) {
         const tenant::TenantMetrics &tm = study.metrics.perTenant[i];
@@ -258,32 +230,13 @@ runTenants(const Options &opt)
                 static_cast<unsigned long long>(study.metrics.makespan));
 
     if (!opt.tenantsTsvPath.empty()) {
-        std::vector<TenantSweepRow> rows;
-        for (const tenant::TenantMetrics &tm : study.metrics.perTenant) {
-            TenantSweepRow r;
-            r.mix = mix.name;
-            r.preset = opt.preset;
-            r.policy = opt.cfg.tbPolicy;
-            r.tenant = tm.name;
-            r.tenantId = tm.tenant;
-            r.jobs = tm.jobs;
-            r.antt = tm.antt;
-            r.p50 = tm.p50;
-            r.p95 = tm.p95;
-            r.p99 = tm.p99;
-            r.retiredTbs = tm.retiredTbs;
-            r.mixAntt = study.metrics.antt;
-            r.mixStp = study.metrics.stp;
-            r.mixJain = study.metrics.jain;
-            r.makespan = study.metrics.makespan;
-            rows.push_back(std::move(r));
-        }
         std::FILE *f = std::fopen(opt.tenantsTsvPath.c_str(), "wb");
         if (!f) {
             laperm_warn("could not write tenants TSV '%s'",
                         opt.tenantsTsvPath.c_str());
         } else {
-            const std::string tsv = encodeTenantSweepTsv(rows);
+            const std::string tsv = encodeTenantSweepTsv(tenantSweepRows(
+                mix.name, opt.req.presetName, cfg.tbPolicy, study));
             std::fwrite(tsv.data(), 1, tsv.size(), f);
             std::fclose(f);
             std::fprintf(stderr, "tenant metrics: %s\n",
@@ -293,6 +246,14 @@ runTenants(const Options &opt)
     return 0;
 }
 
+/** A bad command line: print why and exit with the usage status, 2. */
+[[noreturn]] void
+badArgs(const std::string &err)
+{
+    std::fprintf(stderr, "laperm_sim: %s\n", err.c_str());
+    std::exit(2);
+}
+
 } // namespace
 
 int
@@ -300,7 +261,6 @@ main(int argc, char **argv)
 {
     setVerbose(false);
     Options opt;
-    opt.cfg = paperConfig();
 
     auto next_arg = [&](int &i) -> const char * {
         if (i + 1 >= argc)
@@ -308,58 +268,19 @@ main(int argc, char **argv)
         return argv[++i];
     };
 
+    JsonObject run;
+    std::string err;
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
-        if (!std::strcmp(a, "--workload")) {
-            opt.workload = next_arg(i);
-        } else if (!std::strcmp(a, "--policy")) {
-            opt.policy = parsePolicy(next_arg(i));
-        } else if (!std::strcmp(a, "--model")) {
-            std::string m = next_arg(i);
-            if (m == "cdp")
-                opt.model = DynParModel::CDP;
-            else if (m == "dtbl")
-                opt.model = DynParModel::DTBL;
-            else
-                usage(argv[0]);
-        } else if (!std::strcmp(a, "--scale")) {
-            opt.scale = scaleFromString(next_arg(i));
-        } else if (!std::strcmp(a, "--seed")) {
-            opt.seed = parseU64(next_arg(i), "--seed");
-        } else if (!std::strcmp(a, "--preset")) {
-            opt.preset = next_arg(i);
-            opt.cfg = presetConfig(opt.preset);
-        } else if (!std::strcmp(a, "--config")) {
-            std::string err;
-            if (!loadMachineToml(next_arg(i), opt.cfg, err))
-                laperm_fatal("%s", err.c_str());
-        } else if (!std::strcmp(a, "--list-presets")) {
+        const RunFlagMatch m = collectRunFlag(argc, argv, i, run, err);
+        if (m == RunFlagMatch::Error)
+            badArgs(err);
+        if (m == RunFlagMatch::Taken)
+            continue;
+        if (!std::strcmp(a, "--list-presets")) {
             for (const auto &p : presets())
                 std::printf("%s\t%s\n", p.name, p.description);
             return 0;
-        } else if (!std::strcmp(a, "--smx")) {
-            opt.cfg.numSmx = parseU32(next_arg(i), "--smx");
-        } else if (!std::strcmp(a, "--l1-kb")) {
-            opt.cfg.l1Size = parseU32(next_arg(i), "--l1-kb") * 1024;
-        } else if (!std::strcmp(a, "--l2-kb")) {
-            opt.cfg.l2Size = parseU32(next_arg(i), "--l2-kb") * 1024;
-        } else if (!std::strcmp(a, "--levels")) {
-            opt.cfg.maxPriorityLevels =
-                parseU32(next_arg(i), "--levels");
-        } else if (!std::strcmp(a, "--cdp-latency")) {
-            opt.cfg.cdpLaunchLatency =
-                parseU64(next_arg(i), "--cdp-latency");
-        } else if (!std::strcmp(a, "--dtbl-latency")) {
-            opt.cfg.dtblLaunchLatency =
-                parseU64(next_arg(i), "--dtbl-latency");
-        } else if (!std::strcmp(a, "--warp-sched")) {
-            std::string w = next_arg(i);
-            if (w == "gto")
-                opt.cfg.warpPolicy = WarpPolicy::GTO;
-            else if (w == "lrr")
-                opt.cfg.warpPolicy = WarpPolicy::LRR;
-            else
-                usage(argv[0]);
         } else if (!std::strcmp(a, "--trace")) {
             opt.tracePath = next_arg(i);
         } else if (!std::strcmp(a, "--trace-json")) {
@@ -372,8 +293,6 @@ main(int argc, char **argv)
             opt.latencyPath = next_arg(i);
         } else if (!std::strcmp(a, "--locality")) {
             opt.localityPath = next_arg(i);
-        } else if (!std::strcmp(a, "--tenants")) {
-            opt.tenantsSpec = next_arg(i);
         } else if (!std::strcmp(a, "--tenants-tsv")) {
             opt.tenantsTsvPath = next_arg(i);
         } else if (!std::strcmp(a, "--csv")) {
@@ -387,23 +306,38 @@ main(int argc, char **argv)
         }
     }
 
-    opt.cfg.dynParModel = opt.model;
-    opt.cfg.tbPolicy = opt.policy;
-    opt.cfg.seed = opt.seed;
-    opt.cfg.validate();
+    // Values only this tool understands leave the request before the
+    // shared parser sees it: "--workload all" and a mix spec file
+    // (the daemon takes builtin mix names only). Server-side trace
+    // directories are laperm_submit's alone.
+    std::string v;
+    if (run.count("trace_dir"))
+        usage(argv[0]);
+    if (getString(run, "workload", v) && v == "all") {
+        opt.allWorkloads = true;
+        run.erase("workload");
+    }
+    if (getString(run, "tenants", v) && !tenant::isBuiltinMix(v) &&
+        (v.rfind(".toml") != std::string::npos ||
+         v.find('/') != std::string::npos)) {
+        opt.tenantsFile = v;
+        run.erase("tenants");
+    }
+    if (!SimRequest::fromJson(run, opt.req, err) ||
+        !opt.req.validate(err))
+        badArgs(err);
+    const SimRequest &req = opt.req;
 
-    if (!opt.tenantsSpec.empty())
+    if (!req.tenants.empty() || !opt.tenantsFile.empty())
         return runTenants(opt);
 
-    std::vector<std::string> names;
-    if (opt.workload == "all")
-        names = workloadNames();
-    else
-        names.push_back(opt.workload);
+    const std::vector<std::string> names =
+        opt.allWorkloads ? workloadNames()
+                         : std::vector<std::string>{req.workload};
 
     if (opt.csv)
         std::printf("%s\n",
-                    machineHash(opt.cfg) != defaultMachineHash()
+                    machineHash(req.cfg) != defaultMachineHash()
                         ? statsCsvHeaderWithConfig()
                         : statsCsvHeader());
     // With --workload all, each per-workload output file is prefixed
@@ -422,8 +356,8 @@ main(int argc, char **argv)
 
     for (const auto &name : names) {
         auto w = createWorkload(name);
-        w->setup(opt.scale, opt.seed);
-        Gpu gpu(opt.cfg);
+        w->setup(req.scale, req.seed);
+        Gpu gpu(req.cfg);
         std::unique_ptr<DispatchTrace> trace;
         if (!opt.tracePath.empty())
             trace = std::make_unique<DispatchTrace>(gpu);

@@ -13,7 +13,7 @@
  *     --workload NAME   bfs-citation, join-gaussian, ...
  *     --policy P        rr | tbpri | smxbind | adaptive (default rr)
  *     --model M         cdp | dtbl (default dtbl)
- *     --scale S         tiny | small | full (default small)
+ *     --scale S         tiny | small | full | huge (default small)
  *     --seed N          input-generator seed (default 1)
  *     --preset NAME     hardware preset (k20c | gtx1080 | p100 | v100)
  *     --config FILE     machine TOML applied on top of the preset
@@ -23,7 +23,7 @@
  *     --levels N        max priority levels L
  *     --cdp-latency N   CDP launch latency in cycles
  *     --dtbl-latency N  DTBL launch latency in cycles
- *     --warp-sched W    gto | lrr
+ *     --warp-sched W    gto | lrr | tbaware
  *     --trace-dir DIR   server-side observability artifact directory
  *     --tenants MIX     run a builtin multi-tenant mix server-side and
  *                       print the tenant-sweep TSV (same bytes as
@@ -36,6 +36,11 @@
  *     --retries N       overload/transport retry budget (default 5)
  *     --backoff-ms N    initial retry backoff (default 50)
  *     --timeout-ms N    client receive timeout, 0 = none (default 0)
+ *
+ * Run flags are parsed by the daemon's own request parser
+ * (serve/service/sim_request.hh): each may appear once, machine flags
+ * apply in its fixed order (preset, config, single-field flags), and
+ * a bad value is rejected here before anything is sent.
  */
 
 #include <cstdio>
@@ -51,8 +56,6 @@
 #include "harness/result_cache.hh"
 #include "serve/client.hh"
 #include "serve/service/sim_request.hh"
-#include "sim/config_loader.hh"
-#include "sim/presets.hh"
 
 using namespace laperm;
 using namespace laperm::serve;
@@ -79,7 +82,7 @@ usage(const char *argv0)
         "[--scale tiny|small|full|huge] [--seed N] [--preset NAME] "
         "[--config FILE] [--smx N] [--l1-kb N] "
         "[--l2-kb N] [--levels N] [--cdp-latency N] [--dtbl-latency N] "
-        "[--warp-sched gto|lrr] [--trace-dir DIR] [--tenants MIX] "
+        "[--warp-sched gto|lrr|tbaware] [--trace-dir DIR] [--tenants MIX] "
         "[--batch FILE] "
         "[--stats] [--ping] [--shutdown] [--retries N] "
         "[--backoff-ms N] [--timeout-ms N]\n",
@@ -92,6 +95,14 @@ fail(const std::string &msg)
 {
     std::fprintf(stderr, "laperm_submit: %s\n", msg.c_str());
     return 1;
+}
+
+/** A bad command line: print why and return the usage status, 2. */
+int
+badArgs(const std::string &msg)
+{
+    fail(msg);
+    return 2;
 }
 
 /** Non-ok responses share one rendering across all modes. */
@@ -264,8 +275,6 @@ int
 main(int argc, char **argv)
 {
     ClientOptions copts;
-    SimRequest req;
-    req.cfg = paperConfig();
     Mode mode = Mode::Run;
     std::string batchPath;
 
@@ -287,85 +296,18 @@ main(int argc, char **argv)
         return static_cast<std::uint32_t>(parse_u64(s, what, UINT32_MAX));
     };
 
+    JsonObject run;
+    std::string err;
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
+        const RunFlagMatch m = collectRunFlag(argc, argv, i, run, err);
+        if (m == RunFlagMatch::Error)
+            return badArgs(err);
+        if (m == RunFlagMatch::Taken)
+            continue;
         if (!std::strcmp(a, "--connect")) {
-            std::string ep_err;
-            if (!parseEndpoint(next_arg(i), copts.endpoint, ep_err)) {
-                std::fprintf(stderr, "laperm_submit: %s\n",
-                             ep_err.c_str());
-                return 2;
-            }
-        } else if (!std::strcmp(a, "--workload")) {
-            req.workload = next_arg(i);
-        } else if (!std::strcmp(a, "--policy")) {
-            std::string p = next_arg(i);
-            if (p == "rr")
-                req.policy = TbPolicy::RR;
-            else if (p == "tbpri")
-                req.policy = TbPolicy::TbPri;
-            else if (p == "smxbind")
-                req.policy = TbPolicy::SmxBind;
-            else if (p == "adaptive" || p == "laperm")
-                req.policy = TbPolicy::AdaptiveBind;
-            else
-                usage(argv[0]);
-        } else if (!std::strcmp(a, "--model")) {
-            std::string m = next_arg(i);
-            if (m == "cdp")
-                req.model = DynParModel::CDP;
-            else if (m == "dtbl")
-                req.model = DynParModel::DTBL;
-            else
-                usage(argv[0]);
-        } else if (!std::strcmp(a, "--scale")) {
-            std::string s = next_arg(i);
-            if (s == "tiny")
-                req.scale = Scale::Tiny;
-            else if (s == "small")
-                req.scale = Scale::Small;
-            else if (s == "full")
-                req.scale = Scale::Full;
-            else if (s == "huge")
-                req.scale = Scale::Huge;
-            else
-                usage(argv[0]);
-        } else if (!std::strcmp(a, "--seed")) {
-            req.seed = parse_u64(next_arg(i), "--seed");
-        } else if (!std::strcmp(a, "--preset")) {
-            req.presetName = next_arg(i);
-            req.cfg = presetConfig(req.presetName.c_str());
-        } else if (!std::strcmp(a, "--config")) {
-            std::string cfg_err;
-            if (!loadMachineToml(next_arg(i), req.cfg, cfg_err))
-                laperm_fatal("%s", cfg_err.c_str());
-        } else if (!std::strcmp(a, "--smx")) {
-            req.cfg.numSmx = parse_u32(next_arg(i), "--smx");
-        } else if (!std::strcmp(a, "--l1-kb")) {
-            req.cfg.l1Size = parse_u32(next_arg(i), "--l1-kb") * 1024;
-        } else if (!std::strcmp(a, "--l2-kb")) {
-            req.cfg.l2Size = parse_u32(next_arg(i), "--l2-kb") * 1024;
-        } else if (!std::strcmp(a, "--levels")) {
-            req.cfg.maxPriorityLevels =
-                parse_u32(next_arg(i), "--levels");
-        } else if (!std::strcmp(a, "--cdp-latency")) {
-            req.cfg.cdpLaunchLatency =
-                parse_u64(next_arg(i), "--cdp-latency");
-        } else if (!std::strcmp(a, "--dtbl-latency")) {
-            req.cfg.dtblLaunchLatency =
-                parse_u64(next_arg(i), "--dtbl-latency");
-        } else if (!std::strcmp(a, "--warp-sched")) {
-            std::string w = next_arg(i);
-            if (w == "gto")
-                req.cfg.warpPolicy = WarpPolicy::GTO;
-            else if (w == "lrr")
-                req.cfg.warpPolicy = WarpPolicy::LRR;
-            else
-                usage(argv[0]);
-        } else if (!std::strcmp(a, "--trace-dir")) {
-            req.traceDir = next_arg(i);
-        } else if (!std::strcmp(a, "--tenants")) {
-            req.tenants = next_arg(i);
+            if (!parseEndpoint(next_arg(i), copts.endpoint, err))
+                return badArgs(err);
         } else if (!std::strcmp(a, "--batch")) {
             mode = Mode::Batch;
             batchPath = next_arg(i);
@@ -386,12 +328,11 @@ main(int argc, char **argv)
             usage(argv[0]);
         }
     }
-    req.cfg.dynParModel = req.model;
-    req.cfg.tbPolicy = req.policy;
-    req.cfg.seed = req.seed;
+    SimRequest req;
+    if (!SimRequest::fromJson(run, req, err) || !req.validate(err))
+        return badArgs(err);
 
     Client client(copts);
-    std::string err;
     if (!client.connect(err))
         return fail(err);
 

@@ -5,19 +5,31 @@
 #include <cstdlib>
 
 #include "common/log.hh"
+#include "common/text.hh"
 
 namespace laperm {
+
+namespace {
+
+constexpr EnumName<Scale> kScaleNames[] = {
+    {"tiny", Scale::Tiny},
+    {"small", Scale::Small},
+    {"full", Scale::Full},
+    {"huge", Scale::Huge},
+};
+
+} // namespace
 
 const char *
 toString(Scale scale)
 {
-    switch (scale) {
-      case Scale::Tiny: return "tiny";
-      case Scale::Small: return "small";
-      case Scale::Full: return "full";
-      case Scale::Huge: return "huge";
-    }
-    return "?";
+    return enumName(kScaleNames, scale);
+}
+
+bool
+parseScale(const std::string &name, Scale &out)
+{
+    return parseEnum(kScaleNames, name, out);
 }
 
 Scale
@@ -26,16 +38,11 @@ scaleFromString(const std::string &name)
     std::string s = name;
     std::transform(s.begin(), s.end(), s.begin(),
                    [](unsigned char c) { return std::tolower(c); });
-    if (s == "tiny")
-        return Scale::Tiny;
-    if (s == "small")
-        return Scale::Small;
-    if (s == "full")
-        return Scale::Full;
-    if (s == "huge")
-        return Scale::Huge;
-    laperm_fatal("unknown scale '%s' (want tiny|small|full|huge)",
-                 name.c_str());
+    Scale scale = Scale::Small;
+    if (!parseScale(s, scale))
+        laperm_fatal("unknown scale '%s' (want tiny|small|full|huge)",
+                     name.c_str());
+    return scale;
 }
 
 void

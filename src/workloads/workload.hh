@@ -28,9 +28,13 @@ enum class Scale
     Huge,  ///< sized for the big presets (p100/v100 actually loaded)
 };
 
+/** Scale name: tiny, small, full or huge; also its wire name. */
 const char *toString(Scale scale);
 
-/** Parse "tiny"/"small"/"full"/"huge" (case-insensitive); fatal on error. */
+/** Parse an exact toString() name; false leaves @p out untouched. */
+bool parseScale(const std::string &name, Scale &out);
+
+/** parseScale ignoring case (LAPERM_SCALE, bench args); fatal on error. */
 Scale scaleFromString(const std::string &name);
 
 /** Scale selected by the LAPERM_SCALE environment variable (or @p def). */
